@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,17 @@ def _default_seed() -> int:
         return int(os.environ.get("VS_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _positive(kind: type) -> Callable[[str], Any]:
+    """argparse type: a finite number of the given kind, above zero."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <name> value"
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _clean(value: Any) -> Any:
@@ -130,7 +141,14 @@ def cmd_posterior(args: argparse.Namespace) -> int:
 
 def cmd_speak(args: argparse.Namespace) -> int:
     sc = schema.load_scenario(args.scenario)
-    o = sc.observation(args.observation) if args.observation else sc.observations[0]
+    o = sc.observations[0]
+    if args.observation:
+        try:
+            o = sc.observation(args.observation)
+        except KeyError:
+            raise schema.SchemaError(
+                f"--observation: no observation named {args.observation!r}; "
+                f"file defines {[ob.id for ob in sc.observations]}") from None
     interpret = sc.interpreter()
     lam = args.lam if args.lam is not None else sc.lam
     utilities = utility_table(o, sc.menu, interpret)
@@ -370,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speak", help="speaker choice for an observation")
     p.add_argument("scenario")
     p.add_argument("--observation", help="observation id (default: first)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_positive(float), default=None,
                    help="softmax temperature (default: scenario value)")
     p.add_argument("--soft", action="store_true", help="softmax instead of hard argmax")
     p.add_argument("--paper-format", action="store_true")
@@ -378,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ibr", help="run the speaker/listener recursion")
     p.add_argument("scenario")
-    p.add_argument("--levels", type=int, default=20)
+    p.add_argument("--levels", type=_positive(int), default=20)
     p.add_argument("--mode", choices=("hardmax", "softmax"), default="hardmax")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--lambda", dest="lam", type=_positive(float), default=None)
+    p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--no-fallback", action="store_true",
                    help="error on messages no observation sends")
     p.set_defaults(func=cmd_ibr)
@@ -393,16 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="named profile from the file, or a JSON path")
     p.add_argument("--pure", action="store_true", help="shorthand for --profile pure")
     p.add_argument("--mixed", action="store_true", help="shorthand for --profile mixed")
-    p.add_argument("--n", type=int, default=500, help="random batch size")
+    p.add_argument("--n", type=_positive(int), default=500, help="random batch size")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--budget", type=int, default=games.ENUMERATION_BUDGET)
+    p.add_argument("--tol", type=_positive(float), default=1e-9)
+    p.add_argument("--budget", type=_positive(int), default=games.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("scenario", help="built-in reports")
     p.add_argument("name", choices=scenarios.SCENARIO_NAMES)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--samples", type=int, default=40,
+    p.add_argument("--samples", type=_positive(int), default=40,
                    help="optimality-search family size")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.add_argument("--paper-format", action="store_true")
@@ -416,7 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (schema.SchemaError, MessageParseError, KeyError) as e:
+    except (schema.SchemaError, MessageParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (ZeroPosterior, ibr.DeadMessageNoFallback, NonUniformPreconditionViolated,

@@ -139,8 +139,26 @@ class MixedProfile:
 
     @property
     def is_pure(self) -> bool:
-        return bool(np.all(np.isin(self.sender, (0.0, 1.0)))
-                    and np.all(np.isin(self.receiver, (0.0, 1.0))))
+        return _is_pure(self.sender) and _is_pure(self.receiver)
+
+
+def _is_pure(matrix: np.ndarray) -> bool:
+    return bool(np.all((matrix == 0.0) | (matrix == 1.0)))
+
+
+def _one_hot(indices, n: int) -> np.ndarray:
+    """Rows of the n x n identity picked by indices (any shape)."""
+    return np.eye(n)[np.asarray(indices)]
+
+
+def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of each row's entries within tol of the row maximum."""
+    return values >= values.max(axis=-1, keepdims=True) - tol
+
+
+def _uniform_over(mask: np.ndarray) -> np.ndarray:
+    """Each row spread evenly over its True entries."""
+    return mask / mask.sum(axis=1, keepdims=True)
 
 
 def _check_dims(g: Game, p: MixedProfile) -> None:
@@ -187,40 +205,52 @@ def _sender_values(g: Game, receiver: np.ndarray) -> np.ndarray:
     return g.payoff @ receiver.T
 
 
+def _bayes(g: Game, sender: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Message use, and each message's action values under its posterior.
+
+    Unused messages get the prior's action values. The posteriors are
+    stacked as C-contiguous rows and multiplied as a batch of 1 x S
+    matrices: this rounds exactly as each posterior @ payoff does alone,
+    which matters because exact ties feed argmax.
+    """
+    use = g.prior @ sender
+    used = use > 0
+    post = np.ascontiguousarray((g.prior[:, None] * sender / np.where(used, use, 1.0)).T)
+    values = (post[:, None, :] @ g.payoff)[:, 0, :]
+    values[~used] = g.prior @ g.payoff
+    return use, values
+
+
+def _first_gain(role: str, values: np.ndarray, current: np.ndarray,
+                active: np.ndarray, tol: float) -> Deviation | None:
+    """The first active row whose best entry beats its current value by tol."""
+    best = values.argmax(axis=1)
+    improved = values[np.arange(len(best)), best]
+    hits = np.flatnonzero(active & (improved > current + tol))
+    if not hits.size:
+        return None
+    i = hits[0]
+    return Deviation(role, int(i), int(best[i]), float(current[i]), float(improved[i]))
+
+
 def is_nash(g: Game, p: MixedProfile, tol: float = _TOL) -> NashResult:
     """No positive-prior state and no positively-used message can deviate
     for a gain above tol; on failure the first witness found is returned."""
     _check_dims(g, p)
     sv = _sender_values(g, p.receiver)
-    current = (p.sender * sv).sum(axis=1)
-    for s in range(g.n_states):
-        if g.prior[s] <= 0:
-            continue
-        best = int(np.argmax(sv[s]))
-        if sv[s, best] > current[s] + tol:
-            return NashResult(False, Deviation("sender", s, best,
-                                               float(current[s]), float(sv[s, best])))
-    use = g.prior @ p.sender  # message use probabilities
-    for m in range(g.n_messages):
-        if use[m] <= 0:
-            continue
-        posterior = g.prior * p.sender[:, m] / use[m]
-        action_values = posterior @ g.payoff
-        got = float(action_values @ p.receiver[m])
-        best = int(np.argmax(action_values))
-        if action_values[best] > got + tol:
-            return NashResult(False, Deviation("receiver", m, best,
-                                               got, float(action_values[best])))
-    return NashResult(True)
+    witness = _first_gain("sender", sv, (p.sender * sv).sum(axis=1), g.prior > 0, tol)
+    if witness is None:
+        use, values = _bayes(g, p.sender)
+        got = (values[:, None, :] @ p.receiver[:, :, None])[:, 0, 0]
+        witness = _first_gain("receiver", values, got, use > 0, tol)
+    return NashResult(witness is None, witness)
 
 
 def pure_profile(g: Game, sender_map: Sequence[int], receiver_map: Sequence[int]) -> MixedProfile:
     """Build the 0/1 profile for pure maps state->message and message->action."""
-    sender = np.zeros((g.n_states, g.n_messages))
-    sender[np.arange(g.n_states), list(sender_map)] = 1.0
-    receiver = np.zeros((g.n_messages, g.n_actions))
-    receiver[np.arange(g.n_messages), list(receiver_map)] = 1.0
-    return MixedProfile(sender, receiver)
+    p = MixedProfile(_one_hot(sender_map, g.n_messages), _one_hot(receiver_map, g.n_actions))
+    _check_dims(g, p)
+    return p
 
 
 def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
@@ -236,41 +266,27 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     if nominal > budget:
         raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
     results: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
-    all_messages = tuple(range(g.n_messages))
+    states, messages = np.arange(g.n_states), np.arange(g.n_messages)
+    weighted = g.prior[:, None] * g.payoff
     for receiver_map in itertools.product(range(g.n_actions), repeat=g.n_messages):
-        receiver = np.zeros((g.n_messages, g.n_actions))
-        receiver[np.arange(g.n_messages), receiver_map] = 1.0
-        sv = _sender_values(g, receiver)
+        sv = _sender_values(g, _one_hot(receiver_map, g.n_actions))
         # positive-prior states must send within tol of their best value;
         # zero-prior states are unconstrained
-        choices = []
-        for s in range(g.n_states):
-            if g.prior[s] > 0:
-                best = sv[s].max()
-                choices.append(tuple(int(m) for m in np.flatnonzero(sv[s] >= best - tol)))
-            else:
-                choices.append(all_messages)
-        for sender_map in itertools.product(*choices):
-            if _pure_receiver_ok(g, sender_map, receiver_map, tol):
-                payoff = float(sum(g.prior[s] * sv[s, sender_map[s]]
-                                   for s in range(g.n_states)))
-                results.append((sender_map, receiver_map, payoff))
+        allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
+        maps = np.array(list(itertools.product(*map(np.flatnonzero, allowed))))
+        # the receiver must answer each used message with a Bayes best action;
+        # values are unnormalised, so tol scales with use and unused messages
+        # (all values 0) never fail
+        sent = np.swapaxes(_one_hot(maps, g.n_messages), 1, 2)  # (maps, messages, states)
+        values = sent @ weighted
+        answered = values[:, messages, receiver_map]
+        ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
+        # a running sum adds the states in order, as a plain sum would
+        payoffs = np.cumsum(g.prior * sv[states, maps[ok]], axis=1)[:, -1]
+        results.extend((tuple(map(int, sm)), receiver_map, float(pay))
+                       for sm, pay in zip(maps[ok], payoffs))
     results.sort(key=lambda r: (-r[2], r[0], r[1]))
     return [(pure_profile(g, sm, rm), pay) for sm, rm, pay in results]
-
-
-def _pure_receiver_ok(g: Game, sender_map: Sequence[int],
-                      receiver_map: Sequence[int], tol: float) -> bool:
-    for m in range(g.n_messages):
-        weights = np.array([g.prior[s] if sender_map[s] == m else 0.0
-                            for s in range(g.n_states)])
-        total = weights.sum()
-        if total <= 0:
-            continue  # unused message: receiver row unconstrained
-        action_values = (weights / total) @ g.payoff
-        if action_values.max() > action_values[receiver_map[m]] + tol:
-            return False
-    return True
 
 
 def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.ndarray:
@@ -279,20 +295,10 @@ def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.
     tie="first" picks the lowest action index; tie="uniform" spreads mass
     over the argmax set (used by the interior dynamics).
     """
-    receiver = np.zeros((g.n_messages, g.n_actions))
-    use = g.prior @ sender
-    prior_values = g.prior @ g.payoff
-    for m in range(g.n_messages):
-        if use[m] > 0:
-            action_values = (g.prior * sender[:, m] / use[m]) @ g.payoff
-        else:
-            action_values = prior_values
-        if tie == "first":
-            receiver[m, int(np.argmax(action_values))] = 1.0
-        else:
-            top = np.flatnonzero(action_values >= action_values.max() - 1e-12)
-            receiver[m, top] = 1.0 / top.size
-    return receiver
+    _, values = _bayes(g, sender)
+    if tie == "first":
+        return _one_hot(values.argmax(axis=1), g.n_actions)
+    return _uniform_over(_near_best(values, 1e-12))
 
 
 def babbling_profile(g: Game) -> MixedProfile:
@@ -314,29 +320,18 @@ def _support_enumeration_candidates(g: Game, tie_tol: float = 1e-12) -> Iterable
     two skewed weightings, paired both with that receiver and with the
     exact Bayes reply to the mixed sender.
     """
-    weightings = ((), (0.5,), (0.25,), (0.75,))  # first element = weight of lowest index
     for receiver_map in itertools.product(range(g.n_actions), repeat=g.n_messages):
-        receiver = np.zeros((g.n_messages, g.n_actions))
-        receiver[np.arange(g.n_messages), receiver_map] = 1.0
-        sv = _sender_values(g, receiver)
-        tied = []
-        for s in range(g.n_states):
-            top = np.flatnonzero(sv[s] >= sv[s].max() - tie_tol)
-            tied.append(top)
-        if all(t.size == 1 for t in tied):
+        receiver = _one_hot(receiver_map, g.n_actions)
+        tied = _near_best(_sender_values(g, receiver), tie_tol)
+        counts = tied.sum(axis=1)
+        if np.all(counts == 1):
             continue
-        for w in weightings[1:]:
-            sender = np.zeros((g.n_states, g.n_messages))
-            for s, top in enumerate(tied):
-                if top.size == 1:
-                    sender[s, top[0]] = 1.0
-                elif top.size == 2 and w:
-                    sender[s, top[0]] = w[0]
-                    sender[s, top[1]] = 1.0 - w[0]
-                else:
-                    sender[s, top] = 1.0 / top.size
-            profile = MixedProfile(sender, receiver)
-            yield profile
+        # a two-way tie gets weight w on its lower message; wider ties are uniform
+        lower = _one_hot(tied.argmax(axis=1), g.n_messages) == 1
+        pairs = (counts == 2)[:, None]
+        for w in (0.5, 0.25, 0.75):
+            sender = np.where(pairs, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
+            yield MixedProfile(sender, receiver)
             yield MixedProfile(sender, _receiver_best_reply(g, sender))
 
 
@@ -355,23 +350,12 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator, starts: int = 6,
         receiver /= receiver.sum(axis=1, keepdims=True)
         for _ in range(steps):
             receiver = (1 - eta) * receiver + eta * _receiver_best_reply(g, sender, tie="uniform")
-            sv = _sender_values(g, receiver)
-            br = np.zeros_like(sender)
-            for s in range(g.n_states):
-                top = np.flatnonzero(sv[s] >= sv[s].max() - 1e-12)
-                br[s, top] = 1.0 / top.size
+            br = _uniform_over(_near_best(_sender_values(g, receiver), 1e-12))
             sender = (1 - eta) * sender + eta * br
-        # polish: restrict each sender row to its exact argmax support
-        receiver = _receiver_best_reply(g, sender)
-        sv = _sender_values(g, receiver)
-        polished = np.zeros_like(sender)
-        for s in range(g.n_states):
-            top = np.flatnonzero(sv[s] >= sv[s].max() - 1e-12)
-            mass = sender[s, top]
-            if mass.sum() > 0:
-                polished[s, top] = mass / mass.sum()
-            else:
-                polished[s, top] = 1.0 / top.size
+        # polish: restrict each sender row to its exact argmax support; with
+        # eta < 1 the damped sender stays interior, so every support keeps mass
+        mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), 1e-12)
+        polished = mass / mass.sum(axis=1, keepdims=True)
         yield MixedProfile(polished, _receiver_best_reply(g, polished))
 
 
@@ -431,14 +415,10 @@ class DominanceReport:
 def _support_spread(g: Game, p: MixedProfile) -> float:
     """Largest payoff gap inside any positive-prior state's sent support."""
     sv = _sender_values(g, p.receiver)
-    spread = 0.0
-    for s in range(g.n_states):
-        if g.prior[s] <= 0:
-            continue
-        supported = sv[s][p.sender[s] > 0]
-        if supported.size > 1:
-            spread = max(spread, float(supported.max() - supported.min()))
-    return spread
+    supported = (p.sender > 0) & (g.prior > 0)[:, None]
+    highest = np.where(supported, sv, -np.inf).max(axis=1)
+    lowest = np.where(supported, sv, np.inf).min(axis=1)
+    return float(np.max(highest - lowest, initial=0.0))
 
 
 def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
@@ -536,13 +516,10 @@ def speaker_meaning(g: Game, p: MixedProfile) -> SpeakerMeaning:
     Messages no state sends are omitted.
     """
     _check_dims(g, p)
-    cells = []
-    for m in range(g.n_messages):
-        members = tuple(g.states[s] for s in range(g.n_states) if p.sender[s, m] > 0)
-        if members:
-            cells.append((g.messages[m], members))
-    sender_pure = bool(np.all(np.isin(p.sender, (0.0, 1.0))))
-    return SpeakerMeaning(tuple(cells), "PARTITION" if sender_pure else "COVER")
+    sent = p.sender > 0
+    cells = tuple((g.messages[m], tuple(itertools.compress(g.states, sent[:, m])))
+                  for m in np.flatnonzero(sent.any(axis=0)))
+    return SpeakerMeaning(cells, "PARTITION" if _is_pure(p.sender) else "COVER")
 
 
 @dataclass(frozen=True)
@@ -565,25 +542,19 @@ def question_precision(g: Game, p: MixedProfile) -> PrecisionReport:
     _check_dims(g, p)
     if g.question is None:
         raise MissingQuestion("game has no question partition")
-    sender_pure = bool(np.all(np.isin(p.sender, (0.0, 1.0))))
-    precise = sender_pure
-    if sender_pure:
-        for cell in g.question:
-            picks = {int(np.argmax(p.sender[s])) for s in cell}
-            if len(picks) > 1:
-                precise = False
-                break
-    cell_priors = tuple(float(sum(g.prior[s] for s in cell)) for cell in g.question)
+    picks = p.sender.argmax(axis=1)
+    precise = _is_pure(p.sender) and all(np.all(picks[list(cell)] == picks[cell[0]])
+                                         for cell in g.question)
     use = g.prior @ p.sender
-    posteriors = []
-    for m in range(g.n_messages):
-        if use[m] <= 0:
-            continue
-        posterior = g.prior * p.sender[:, m] / use[m]
-        per_cell = tuple(float(sum(posterior[s] for s in cell)) for cell in g.question)
-        posteriors.append((g.messages[m], per_cell))
+    used = np.flatnonzero(use > 0)
+    # column 0 is the prior, then one posterior column per used message;
+    # a plain sum of a cell's rows adds its states in the cell's order
+    masses = np.column_stack([g.prior, g.prior[:, None] * p.sender[:, used] / use[used]])
+    per_cell = np.array([sum(masses[list(cell)]) for cell in g.question])
+    posteriors = tuple((g.messages[m], tuple(map(float, column)))
+                       for m, column in zip(used, per_cell[:, 1:].T))
     return PrecisionReport("Precise" if precise else "VagueWrtQuestion",
-                           cell_priors, tuple(posteriors))
+                           tuple(map(float, per_cell[:, 0])), posteriors)
 
 
 def _same_preferences(g: Game, cell: Sequence[int]) -> bool:

@@ -207,37 +207,24 @@ def denotation_vector(m: Message, grid, t: float | None = None) -> np.ndarray:
     raise TypeError(f"unknown message type {type(m).__name__}")
 
 
-def _denotation_key(m: Message, grid) -> tuple:
-    return tuple(bool(b) for b in denotation_vector(m, grid))
-
-
 def precise_alternatives(grid) -> list[Message]:
-    """All precise interval messages on the grid, deduplicated by denotation.
+    """All precise interval messages on a strictly increasing grid.
 
-    Generates every Between(lo, hi) with lo <= hi over grid values (exact
-    messages appear as the lo == hi case), then every at-least and at-most
-    message; messages denoting the same grid subset collapse to the first
-    generated, so the half-lines fold into their Between equivalents. The
-    result is the full precise answer menu, with no explicitly
-    probabilistic messages.
+    Every Between(lo, hi) with lo <= hi over grid values, ordered by lo
+    then hi; exact messages appear as the lo == hi case. These n(n+1)/2
+    messages denote distinct grid subsets, and no half-line is needed:
+    at-least v denotes what between v and the grid maximum does, and
+    at-most v what between the grid minimum and v does. The result is the
+    full precise answer menu, with no explicitly probabilistic messages.
     """
-    g = list(np.asarray(grid, dtype=float))
-    if not g:
+    g = np.asarray(grid, dtype=float)
+    if not g.size:
         raise ValueError("grid must be nonempty")
-    candidates: list[Message] = []
-    for i, lo in enumerate(g):
-        for hi in g[i:]:
-            candidates.append(Exact(lo) if lo == hi else Between(lo, hi))
-    candidates.extend(AtLeast(v) for v in g)
-    candidates.extend(AtMost(v) for v in g)
-    seen: set[tuple] = set()
-    out: list[Message] = []
-    for m in candidates:
-        key = _denotation_key(m, g)
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    return out
+    if not np.all(np.diff(g) > 0):
+        raise ValueError("grid must be strictly increasing")
+    values = list(g)
+    return [Exact(lo) if lo == hi else Between(lo, hi)
+            for i, lo in enumerate(values) for hi in values[i:]]
 
 
 def vague_alternatives(grid, kind: str) -> list[Message]:

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from vaguetalk import games
 from vaguetalk.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -331,3 +332,36 @@ class TestScenario:
         _, d, _ = run(capsys, "scenario", "optimality-search",
                       "--samples", "8", "--seed", "3")
         assert c == d
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv", [
+        ("ibr", ATTENDANCE, "--levels", "0"),
+        ("ibr", ATTENDANCE, "--levels", "two"),
+        ("ibr", ATTENDANCE, "--tol", "0"),
+        ("ibr", SYNONYMS, "--mode", "softmax", "--lambda", "-1"),
+        ("speak", TWO_MESSAGES, "--soft", "--lambda", "-1"),
+        ("speak", TWO_MESSAGES, "--soft", "--lambda", "nan"),
+        ("game", HEIGHTS, "enumerate", "--budget", "-5"),
+        ("game", HEIGHTS, "check", "--mixed", "--tol", "-1"),
+        ("game", "random", "dominance", "--n", "-3"),
+        ("scenario", "optimality-search", "--samples", "0"),
+    ])
+    def test_out_of_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("vaguetalk ")  # argparse's error line
+
+    def test_unknown_observation_exits_2(self, capsys):
+        code, _, err = run(capsys, "speak", ATTENDANCE, "--observation", "nosuch")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(games, "enumerate_pure_equilibria", broken)
+        with pytest.raises(KeyError):
+            main(["game", HEIGHTS, "enumerate"])

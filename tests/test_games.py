@@ -250,6 +250,13 @@ class TestDominance:
         assert a.n_verified == b.n_verified
         assert a.all_pass and b.all_pass
 
+    def test_batch_candidate_family_is_pinned(self):
+        # counts of the generated family on a fixed batch: any change to
+        # the generators or the dedupe shows here
+        batch = dominance_batch(40, seed=0)
+        assert (batch.n_candidates, batch.n_verified) == (1618, 786)
+        assert batch.all_pass
+
     def test_batch_seed_changes_games(self):
         a = dominance_batch(10, seed=1)
         b = dominance_batch(10, seed=2)

@@ -104,6 +104,11 @@ class TestMenus:
         menu = precise_alternatives(GRID)
         assert not any(isinstance(m, (AtLeast, AtMost)) for m in menu)
 
+    @pytest.mark.parametrize("grid", [[0.0, 10.0, 10.0, 20.0], [20.0, 10.0, 0.0]])
+    def test_precise_menu_needs_strictly_increasing_grid(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            precise_alternatives(grid)
+
     def test_vague_menus(self):
         arounds = vague_alternatives(GRID, "around")
         assert len(arounds) == 9
