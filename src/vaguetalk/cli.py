@@ -44,11 +44,15 @@ EXIT_NO_TRUTHFUL = 4
 EXIT_BUDGET = 5
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("VS_SEED", "0"))
-    except ValueError:
-        return 0
+def _seed(text: str) -> int:
+    """argparse type: a seed, which numpy needs as a non-negative integer."""
+    value = int(text)  # argparse reports a ValueError as "invalid int value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+_seed.__name__ = "int"
 
 
 def _positive(kind: type) -> Callable[[str], Any]:
@@ -412,14 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pure", action="store_true", help="shorthand for --profile pure")
     p.add_argument("--mixed", action="store_true", help="shorthand for --profile mixed")
     p.add_argument("--n", type=_positive(int), default=500, help="random batch size")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get("VS_SEED", "0"),
+                   help="non-negative integer (default: VS_SEED, else 0)")
     p.add_argument("--tol", type=_positive(float), default=1e-9)
     p.add_argument("--budget", type=_positive(int), default=games.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("scenario", help="built-in reports")
     p.add_argument("name", choices=scenarios.SCENARIO_NAMES)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get("VS_SEED", "0"),
+                   help="non-negative integer (default: VS_SEED, else 0)")
     p.add_argument("--samples", type=_positive(int), default=40,
                    help="optimality-search family size")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")

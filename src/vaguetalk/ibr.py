@@ -28,7 +28,7 @@ import numpy as np
 
 from .listener import JointPrior, literal_update
 from .messages import Message
-from .prob import Dist, kl_divergence, softmax
+from .prob import PROB_TOL, Dist, SupportMismatch, _kl_rows, kl_divergence, softmax
 from .speaker import NoTruthfulMessage, Observation, SpeakerStrategy, _argmax_with_tiebreak
 
 __all__ = [
@@ -63,7 +63,7 @@ class ListenerStrategy:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != g.size:
             raise ValueError("matrix must be 2-d with one column per grid value")
-        if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
+        if np.any(m < 0) or not np.all(np.abs(m.sum(axis=1) - 1.0) <= PROB_TOL):
             raise ValueError("rows must be distributions over the grid")
         for name, arr in (("grid", g), ("matrix", m)):
             arr.setflags(write=False)
@@ -103,18 +103,21 @@ def literal_listener_strategy(prior: JointPrior, menu: Sequence[Message]) -> Lis
     return ListenerStrategy(grid, np.stack([r.probs for r in rows]))
 
 
-def _utility_row(o: Observation, L: ListenerStrategy) -> np.ndarray:
-    return np.array([-kl_divergence(o.dist, L.row(j)) for j in range(L.matrix.shape[0])])
+def _utilities(observations: Sequence[Observation], L: ListenerStrategy) -> np.ndarray:
+    """The (n_obs, n_msgs) matrix -KL(P_o || L_m), -inf on truthfulness violations."""
+    for o in observations:
+        if not np.array_equal(o.dist.support, L.grid):
+            raise SupportMismatch(f"observation {o.id!r} is not on the listener's grid")
+    return -np.stack([_kl_rows(o.dist.probs, L.matrix) for o in observations])
 
 
 def speaker_response(L: ListenerStrategy, observations: Sequence[Observation],
                      menu: Sequence[Message], mode: str = "hardmax",
                      lam: float | None = None) -> SpeakerStrategy:
     """Best (or softmax) response to a listener, one row per observation."""
-    n_msgs = len(menu)
-    rows = np.zeros((len(observations), n_msgs))
-    for i, o in enumerate(observations):
-        u = _utility_row(o, L)
+    utilities = _utilities(observations, L)
+    rows = np.zeros_like(utilities)
+    for i, (o, u) in enumerate(zip(observations, utilities)):
         if np.max(u) == -math.inf:
             raise NoTruthfulMessage(f"no usable message for observation {o.id!r}")
         if mode == "hardmax":
@@ -145,14 +148,12 @@ def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
     p_obs = np.stack([o.dist.probs for o in observations])  # (n_obs, n_grid)
     raw = S.matrix.T @ (w[:, None] * p_obs)  # (n_msgs, n_grid)
     totals = raw.sum(axis=1)
-    matrix = np.empty_like(raw)
-    for j, total in enumerate(totals):
-        if total > 0:
-            matrix[j] = raw[j] / total
-        elif fallback is not None:
-            matrix[j] = fallback.matrix[j]
-        else:
-            raise DeadMessageNoFallback(f"message index {j} is never sent")
+    sent = totals > 0
+    if fallback is None and not np.all(sent):
+        raise DeadMessageNoFallback(f"message index {np.flatnonzero(~sent)[0]} is never sent")
+    matrix = raw / np.where(sent, totals, 1.0)[:, None]
+    if fallback is not None:
+        matrix = np.where(sent[:, None], matrix, fallback.matrix)
     return ListenerStrategy(grid, matrix)
 
 
@@ -222,12 +223,9 @@ def expected_utility(S: SpeakerStrategy, L: ListenerStrategy,
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
     total = 0.0
-    for i, o in enumerate(observations):
-        u = _utility_row(o, L)
-        row = S.matrix[i]
-        for j in range(row.size):
-            if row[j] > 0:
-                total += w[i] * row[j] * u[j]
+    for i, j in zip(*np.nonzero(S.matrix > 0)):
+        u = -kl_divergence(observations[i].dist, L.row(j))
+        total += w[i] * S.matrix[i, j] * u
     return total
 
 
@@ -258,14 +256,12 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
     equal the Bayes response to S (with the same dead-message rule used
     by iterate) within tol.
     """
-    speaker_residual = 0.0
     if mode == "hardmax":
-        for i, o in enumerate(observations):
-            u = _utility_row(o, L)
-            best = np.max(u)
-            for j in np.flatnonzero(S.matrix[i] > 0):
-                gap = best - u[j]  # inf when a supported message is untruthful
-                speaker_residual = max(speaker_residual, float(gap))
+        u = _utilities(observations, L)
+        # inf when a sent message is untruthful; nan (skipped) when no message is truthful
+        with np.errstate(invalid="ignore"):
+            gaps = np.max(u, axis=1, keepdims=True) - u
+        speaker_residual = float(np.fmax.reduce(gaps[S.matrix > 0], initial=0.0))
     elif mode == "softmax":
         ideal = speaker_response(L, observations, menu, mode="softmax", lam=lam)
         speaker_residual = float(np.max(np.abs(S.matrix - ideal.matrix)))

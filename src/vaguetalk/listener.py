@@ -19,6 +19,7 @@ against an actual prior before using them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
@@ -155,12 +156,9 @@ def literal_update(prior: JointPrior, m: Message) -> Dist:
 
 def literal_interpreter(prior: JointPrior) -> Callable[[Message], Dist]:
     """Memoized Message -> posterior function for speaker-side argmin loops."""
-    cache: dict[Message, Dist] = {}
-
+    @functools.cache
     def interpret(m: Message) -> Dist:
-        if m not in cache:
-            cache[m] = literal_update(prior, m)
-        return cache[m]
+        return literal_update(prior, m)
 
     return interpret
 

@@ -154,11 +154,8 @@ def uniform(support) -> Dist:
 
 def point_mass(support, value: float) -> Dist:
     """All mass on ``value``, which must be a support point."""
-    s = np.asarray(support, dtype=float)
-    probs = np.zeros(len(s))
-    d = Dist(s, np.full(len(s), 1.0 / len(s)))  # borrow index lookup
-    probs[d.index(value)] = 1.0
-    return Dist(s, probs)
+    d = uniform(support)  # borrow index lookup
+    return Dist(d.support, (np.arange(len(d)) == d.index(value)).astype(float))
 
 
 def regrid(d: Dist, support) -> Dist:
@@ -191,12 +188,21 @@ def kl_divergence(p: Dist, q: Dist) -> float:
     """
     if not p.same_support(q):
         raise SupportMismatch("KL divergence needs identical supports")
-    mask = p.probs > 0
-    if np.any(q.probs[mask] == 0):
-        return INF
-    pm = p.probs[mask]
-    qm = q.probs[mask]
-    return float(np.sum(pm * np.log(pm / qm)))
+    return float(_kl_rows(p.probs, q.probs[None, :])[0])
+
+
+def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``KL(p || q)`` for every row ``q`` of ``rows``, as in ``kl_divergence``.
+
+    The masked matrix is made C-contiguous so each row sums as it would alone.
+    """
+    mask = p > 0
+    pm = p[mask]
+    qm = np.ascontiguousarray(rows[:, mask])
+    with np.errstate(divide="ignore"):
+        kl = np.sum(pm * np.log(pm / qm), axis=1)
+    kl[np.any(qm == 0, axis=1)] = INF
+    return kl
 
 
 def surprisal(p: Dist, k: float) -> float:

@@ -22,6 +22,7 @@ before reporting it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -142,22 +143,16 @@ class Scenario:
         """
         prior = self.prior
         mode = self.listener_mode
-        cache: dict[Message, Dist] = {}
 
+        @functools.cache
         def interpret(m: Message) -> Dist:
-            if m in cache:
-                return cache[m]
-            if m.vague and mode == "closedform":
-                post = closed_form_posterior(prior, m)
-            elif m.vague and mode == "auto":
+            if m.vague and mode != "bruteforce":
                 try:
-                    post = closed_form_posterior(prior, m)
+                    return closed_form_posterior(prior, m)
                 except NonUniformPreconditionViolated:
-                    post = literal_update(prior, m)
-            else:
-                post = literal_update(prior, m)
-            cache[m] = post
-            return post
+                    if mode == "closedform":
+                        raise
+            return literal_update(prior, m)
 
         return interpret
 
@@ -270,8 +265,7 @@ def _fmt_inf(x: float):
     return "-inf" if x == -math.inf else ("inf" if x == math.inf else float(x))
 
 
-def _menu_report(sc: Scenario, o: Observation) -> list[dict]:
-    interpret = sc.interpreter()
+def _menu_report(sc: Scenario, o: Observation, interpret: Callable[[Message], Dist]) -> list[dict]:
     rows = []
     for m in sc.menu:
         post = interpret(m)
@@ -284,12 +278,6 @@ def _menu_report(sc: Scenario, o: Observation) -> list[dict]:
             "utility": _fmt_inf(-kl),
         })
     return rows
-
-
-def _winner(sc: Scenario, o: Observation) -> tuple[int, np.ndarray]:
-    interpret = sc.interpreter()
-    u = utility_table(o, sc.menu, interpret)
-    return best_index(o, sc.menu, interpret), u
 
 
 def scenario_around_table1() -> dict:
@@ -309,7 +297,9 @@ def scenario_around_table1() -> dict:
     post_between = literal_update(prior, between)
     kl_between = float(kl_divergence(o.dist, post_between))
     kl_around = float(kl_divergence(o.dist, post_around_closed))
-    win_idx, utilities = _winner(sc, o)
+    interpret = sc.interpreter()
+    utilities = utility_table(o, sc.menu, interpret)
+    win_idx = best_index(o, sc.menu, interpret)
     finite = utilities[np.isfinite(utilities)]
     margin = float(np.sort(finite)[-1] - np.sort(finite)[-2]) if finite.size > 1 else math.inf
     return {
@@ -329,7 +319,7 @@ def scenario_around_table1() -> dict:
         "winner": sc.menu[win_idx].label,
         "winner_strict": bool(np.sum(utilities == np.max(utilities)) == 1),
         "winner_margin": margin,
-        "messages": _menu_report(sc, o),
+        "messages": _menu_report(sc, o, interpret),
     }
 
 
@@ -339,7 +329,8 @@ def scenario_tall_uniform() -> dict:
     sc = tall_uniform_scenario()
     o = sc.observation("o1")
     post_tall = closed_form_posterior(sc.prior, TALL)
-    win_idx, utilities = _winner(sc, o)
+    interpret = sc.interpreter()
+    win_idx = best_index(o, sc.menu, interpret)
     n = len(sc.grid) - 1
     expected_linear = [2.0 * (k + 1) / ((n + 1) * (n + 2)) for k in range(n + 1)]
     return {
@@ -353,7 +344,7 @@ def scenario_tall_uniform() -> dict:
             post_tall.probs - np.array(expected_linear)))),
         "winner": sc.menu[win_idx].label,
         "winner_is_tall": bool(sc.menu[win_idx] is TALL),
-        "messages": _menu_report(sc, o),
+        "messages": _menu_report(sc, o, interpret),
     }
 
 
@@ -377,7 +368,7 @@ def scenario_tall_gaussian() -> dict:
         "prior_mode": float(sc.x_prior.mode()),
         "mode_shifted_up": bool(post.mode() >= sc.x_prior.mode()),
         "enumeration_max_diff": float(np.max(np.abs(post.probs - oracle.probs))),
-        "messages": _menu_report(sc, o),
+        "messages": _menu_report(sc, o, sc.interpreter()),
     }
 
 
@@ -391,17 +382,13 @@ def _plain_kl(p: Sequence[float], q: Sequence[float]) -> float:
     return total
 
 
-def _verify_witness(sc: Scenario, p_o: Sequence[float], margin: float) -> bool:
-    """Independent re-check: plain-Python posteriors and KLs from scratch."""
+def _verify_witness(menu: Sequence[Message], oracle: Sequence[Sequence[float]],
+                    p_o: Sequence[float], margin: float) -> bool:
+    """Independent re-check: plain-Python KLs against the oracle posteriors."""
     best_vague = -math.inf
     best_precise = -math.inf
-    for m in sc.menu:
-        if m.vague:
-            post = joint_enumeration_posterior(sc.x_prior, sc.t_priors[m.param_kind], m)
-        else:
-            t_dummy = uniform([0.0])
-            post = joint_enumeration_posterior(sc.x_prior, t_dummy, m)
-        u = -_plain_kl(list(p_o), [float(v) for v in post.probs])
+    for m, post in zip(menu, oracle):
+        u = -_plain_kl(list(p_o), post)
         if m.vague:
             best_vague = max(best_vague, u)
         else:
@@ -477,11 +464,15 @@ def optimality_search(kind: str = "around", family: str = "default",
         menu=menu, listener_mode="bruteforce",
     )
     interpret = sc.interpreter()
+    # plain-Python posteriors for _verify_witness; they do not depend on the witness
+    t_priors = {None: uniform([0.0]), **sc.t_priors}
+    oracle = [[float(v) for v in joint_enumeration_posterior(
+        sc.x_prior, t_priors[m.param_kind], m).probs] for m in menu]
+    vague_mask = np.array([m.vague for m in menu])
     witnesses = []
     for i, probs in enumerate(shapes):
         o = Observation(f"sample{i}", Dist(grid, probs))
         u = utility_table(o, menu, interpret)
-        vague_mask = np.array([m.vague for m in menu])
         best_vague = float(np.max(u[vague_mask]))
         best_precise = float(np.max(u[~vague_mask]))
         if not best_vague > best_precise:
@@ -489,7 +480,7 @@ def optimality_search(kind: str = "around", family: str = "default",
         margin = best_vague - best_precise
         vague_idx = int(np.flatnonzero(vague_mask & (u == best_vague))[0])
         precise_idx = int(np.flatnonzero(~vague_mask & (u == best_precise))[0])
-        if not _verify_witness(sc, probs, margin):
+        if not _verify_witness(menu, oracle, probs, margin):
             raise AssertionError(
                 f"witness {i} failed independent verification; routes disagree")
         witnesses.append({

@@ -346,6 +346,8 @@ class TestBadNumbers:
         ("game", HEIGHTS, "check", "--mixed", "--tol", "-1"),
         ("game", "random", "dominance", "--n", "-3"),
         ("scenario", "optimality-search", "--samples", "0"),
+        ("game", "random", "dominance", "--n", "1", "--seed", "-1"),
+        ("scenario", "optimality-search", "--seed", "-1"),
     ])
     def test_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -353,6 +355,15 @@ class TestBadNumbers:
         assert out == ""
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("vaguetalk ")  # argparse's error line
+
+    @pytest.mark.parametrize("vs_seed", ["-4", "abc"])
+    def test_bad_vs_seed_exits_2(self, capsys, monkeypatch, vs_seed):
+        monkeypatch.setenv("VS_SEED", vs_seed)
+        code, out, err = run(capsys, "game", "random", "dominance", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("vaguetalk game: error: argument --seed")
 
     def test_unknown_observation_exits_2(self, capsys):
         code, _, err = run(capsys, "speak", ATTENDANCE, "--observation", "nosuch")

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaguetalk import (Around, AtLeast, Between, DeadMessageNoFallback, Dist,
                        IndependentPrior, ListenerStrategy, Observation,
-                       SpeakerStrategy, check_fixed_point, expected_utility,
-                       iterate, listener_response, literal_listener_strategy,
-                       literal_update, precise_alternatives, speaker_response,
-                       uniform, vague_alternatives)
+                       SpeakerStrategy, SupportMismatch, check_fixed_point,
+                       expected_utility, iterate, kl_divergence, listener_response,
+                       literal_listener_strategy, literal_update,
+                       precise_alternatives, speaker_response, uniform,
+                       vague_alternatives)
+from vaguetalk.ibr import _utilities
 
 GRID = np.arange(0.0, 81.0, 10.0)
 P_O = (0.0, 0.01, 0.01, 0.16, 0.64, 0.16, 0.01, 0.01, 0.0)
@@ -23,6 +27,31 @@ def table_prior():
 
 def full_menu():
     return precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+
+
+@st.composite
+def stochastic_rows(draw, n_rows, n_cols):
+    """Row-stochastic matrix with exact zeros (at least one positive per row)."""
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    rows = np.asarray(draw(st.lists(st.lists(weight, min_size=n_cols, max_size=n_cols),
+                                    min_size=n_rows, max_size=n_rows)))
+    for i in np.flatnonzero(rows.sum(axis=1) == 0):
+        rows[i, draw(st.integers(min_value=0, max_value=n_cols - 1))] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def speaker_listener_pairs(draw):
+    """(menu, prior, observations, S, L) on a small grid, with zeros everywhere."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    grid = np.arange(float(n))
+    menu = precise_alternatives(grid)[:draw(st.integers(min_value=1, max_value=6))]
+    n_obs = draw(st.integers(min_value=1, max_value=3))
+    obs = [Observation(f"o{i}", Dist(grid, row))
+           for i, row in enumerate(draw(stochastic_rows(n_obs, n)))]
+    S = SpeakerStrategy(tuple(o.id for o in obs), draw(stochastic_rows(n_obs, len(menu))))
+    L = ListenerStrategy(grid, draw(stochastic_rows(len(menu), n)))
+    return menu, IndependentPrior(uniform(grid)), obs, S, L
 
 
 @pytest.fixture
@@ -41,6 +70,12 @@ class TestLevelZero:
             want = literal_update(prior, m)
             assert np.max(np.abs(L0.matrix[j] - want.probs)) == 0.0
 
+    def test_rows_must_sum_to_one_within_prob_tol(self):
+        grid = np.arange(2.0)
+        ListenerStrategy(grid, np.array([[0.5, 0.5 + 5e-10]]))
+        with pytest.raises(ValueError):
+            ListenerStrategy(grid, np.array([[0.5, 0.5 + 1e-6]]))
+
     def test_row_accessor(self, setup):
         prior, menu, _, _ = setup
         L0 = literal_listener_strategy(prior, menu)
@@ -56,6 +91,23 @@ class TestResponses:
         S1 = speaker_response(L0, obs, menu)
         j = S1.message_index("o1")
         assert str(menu[j]) == "around 40"
+
+    def test_observation_on_another_grid_raises(self, setup):
+        prior, menu, _, _ = setup
+        L0 = literal_listener_strategy(prior, menu)
+        other = Observation("elsewhere", uniform(GRID + 1.0))
+        with pytest.raises(SupportMismatch):
+            speaker_response(L0, [other], menu)
+
+    @settings(max_examples=200)
+    @given(speaker_listener_pairs())
+    def test_utilities_match_scalar_kl_bit_for_bit(self, case):
+        _, _, obs, _, L = case
+        u = _utilities(obs, L)
+        for i, o in enumerate(obs):
+            for j in range(L.matrix.shape[0]):
+                assert u[i, j].tobytes() == \
+                    np.float64(-kl_divergence(o.dist, L.row(j))).tobytes()
 
     def test_softmax_speaker_rows(self, setup):
         prior, menu, obs, _ = setup
@@ -214,6 +266,20 @@ class TestFixedPointCheck:
             rep = check_fixed_point(S, L, prior, menu, obs, weights,
                                     mode="softmax", lam=4.0, tol=1e-6)
             assert rep.ok
+
+    @settings(max_examples=200)
+    @given(speaker_listener_pairs())
+    def test_speaker_residual_is_the_largest_gap(self, case):
+        menu, prior, obs, S, L = case
+        residual = 0.0
+        for i, o in enumerate(obs):
+            u = [-kl_divergence(o.dist, L.row(j)) for j in range(len(menu))]
+            for j, sent in enumerate(S.matrix[i]):
+                gap = max(u) - u[j]
+                if sent > 0 and gap > residual:  # nan (no truthful message) is skipped
+                    residual = gap
+        rep = check_fixed_point(S, L, prior, menu, obs, [1.0] * len(obs))
+        assert rep.speaker_residual == residual
 
     def test_mode_validation(self, setup):
         prior, menu, obs, weights = setup

@@ -9,6 +9,7 @@ from vaguetalk import (AllUtilitiesNegativeInfinite, AllZeroWeights, Dist,
                        LengthMismatch, SupportMismatch, ValueNotInSupport,
                        kl_divergence, normalize, point_mass, regrid, softmax,
                        surprisal, uniform)
+from vaguetalk.scenarios import _plain_kl
 
 
 @st.composite
@@ -19,6 +20,20 @@ def dists(draw, min_size=2, max_size=12):
         min_size=n, max_size=n))
     w = np.asarray(weights)
     return Dist(np.arange(n, dtype=float), w / w.sum())
+
+
+@st.composite
+def dist_pairs_with_zeros(draw, max_size=12):
+    """Two distributions on one grid; either may zero out any value."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    pair = []
+    for _ in range(2):
+        w = np.asarray(draw(st.lists(weight, min_size=n, max_size=n)))
+        if w.sum() == 0:
+            w[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+        pair.append(Dist(np.arange(n, dtype=float), w / w.sum()))
+    return tuple(pair)
 
 
 class TestDist:
@@ -145,6 +160,16 @@ class TestKL:
     @given(dists())
     def test_self_divergence_is_zero(self, p):
         assert kl_divergence(p, p) == 0.0
+
+    @settings(max_examples=300)
+    @given(dist_pairs_with_zeros())
+    def test_agrees_with_plain_python_oracle(self, pair):
+        p, q = pair
+        got = kl_divergence(p, q)
+        want = _plain_kl(list(p.probs), list(q.probs))
+        assert math.isinf(got) == math.isinf(want)
+        if math.isfinite(want):
+            assert abs(got - want) <= 1e-12
 
 
 class TestSurprisal:
