@@ -233,11 +233,7 @@ def _resolve_profile(args: argparse.Namespace, game: games.Game,
     if name in profiles:
         return profiles[name]
     if os.path.exists(name):
-        try:
-            with open(name, encoding="utf-8") as f:
-                obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise schema.SchemaError(f"{name}: invalid JSON: {e.msg}") from e
+        obj = schema._load_json(name)
         wrapped = {"states": list(game.states),
                    "prior": [float(v) for v in game.prior],
                    "messages": list(game.messages), "actions": list(game.actions),

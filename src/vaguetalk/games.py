@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .prob import _is_pure, _quantized_key, _stochastic_rows
+
 __all__ = [
     "Game",
     "MixedProfile",
@@ -47,6 +49,11 @@ __all__ = [
 
 _TOL = 1e-9
 ENUMERATION_BUDGET = 10 ** 7
+_TIE_TOL = 1e-12  # best-reply ties in the candidate generators
+_DYNAMICS = (6, 80, 0.5)  # random starts, damped steps per start, damping eta
+_MAX_CANDIDATES, _CANDIDATE_QUANTUM = 200, 1e-9  # kept candidates; dedupe rounding
+_BATCH_SIZES = (4, 3, 4)  # largest states, messages, actions in dominance_batch
+_Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) matrices of a candidate
 
 
 class DimensionMismatch(ValueError):
@@ -127,23 +134,13 @@ class MixedProfile:
 
     def __post_init__(self) -> None:
         for name in ("sender", "receiver"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.ndim != 2:
-                raise ValueError(f"{name} must be a 2-d matrix")
-            if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=_TOL):
-                raise ValueError(f"{name} rows must be probability distributions")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _stochastic_rows(getattr(self, name), name))
         if self.sender.shape[1] != self.receiver.shape[0]:
             raise DimensionMismatch("sender columns must match receiver rows")
 
     @property
     def is_pure(self) -> bool:
         return _is_pure(self.sender) and _is_pure(self.receiver)
-
-
-def _is_pure(matrix: np.ndarray) -> bool:
-    return bool(np.all((matrix == 0.0) | (matrix == 1.0)))
 
 
 def _one_hot(indices, n: int) -> np.ndarray:
@@ -298,7 +295,12 @@ def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.
     _, values = _bayes(g, sender)
     if tie == "first":
         return _one_hot(values.argmax(axis=1), g.n_actions)
-    return _uniform_over(_near_best(values, 1e-12))
+    return _uniform_over(_near_best(values, _TIE_TOL))
+
+
+def _babbling(g: Game) -> tuple[np.ndarray, np.ndarray]:
+    sender = np.full((g.n_states, g.n_messages), 1.0 / g.n_messages)
+    return sender, _receiver_best_reply(g, sender)
 
 
 def babbling_profile(g: Game) -> MixedProfile:
@@ -308,21 +310,20 @@ def babbling_profile(g: Game) -> MixedProfile:
     to the same action, so the sender is indifferent, and every posterior
     equals the prior, so the receiver is optimal.
     """
-    sender = np.full((g.n_states, g.n_messages), 1.0 / g.n_messages)
-    return MixedProfile(sender, _receiver_best_reply(g, sender))
+    return MixedProfile(*_babbling(g))
 
 
-def _support_enumeration_candidates(g: Game, tie_tol: float = 1e-12) -> Iterable[MixedProfile]:
+def _support_enumeration_candidates(g: Game) -> Iterable[_Pair]:
     """Mixed candidates built from sender indifference under pure receivers.
 
     For each pure receiver map, states whose best messages tie (within
-    tie_tol) may mix arbitrarily over the tied set; we emit uniform and
+    _TIE_TOL) may mix arbitrarily over the tied set; we emit uniform and
     two skewed weightings, paired both with that receiver and with the
     exact Bayes reply to the mixed sender.
     """
     for receiver_map in itertools.product(range(g.n_actions), repeat=g.n_messages):
         receiver = _one_hot(receiver_map, g.n_actions)
-        tied = _near_best(_sender_values(g, receiver), tie_tol)
+        tied = _near_best(_sender_values(g, receiver), _TIE_TOL)
         counts = tied.sum(axis=1)
         if np.all(counts == 1):
             continue
@@ -331,18 +332,18 @@ def _support_enumeration_candidates(g: Game, tie_tol: float = 1e-12) -> Iterable
         pairs = (counts == 2)[:, None]
         for w in (0.5, 0.25, 0.75):
             sender = np.where(pairs, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
-            yield MixedProfile(sender, receiver)
-            yield MixedProfile(sender, _receiver_best_reply(g, sender))
+            yield sender, receiver
+            yield sender, _receiver_best_reply(g, sender)
 
 
-def _dynamics_candidates(g: Game, rng: np.random.Generator, starts: int = 6,
-                         steps: int = 80, eta: float = 0.5) -> Iterable[MixedProfile]:
+def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterable[_Pair]:
     """Damped best-response dynamics from random interior starts.
 
     After the damped phase, the sender is polished onto exact argmax
     supports (keeping relative mass) and the receiver is recomputed as an
     exact best reply, so stable rest points come out as clean candidates.
     """
+    starts, steps, eta = _DYNAMICS
     for _ in range(starts):
         sender = rng.random((g.n_states, g.n_messages)) + 1e-3
         sender /= sender.sum(axis=1, keepdims=True)
@@ -350,40 +351,34 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator, starts: int = 6,
         receiver /= receiver.sum(axis=1, keepdims=True)
         for _ in range(steps):
             receiver = (1 - eta) * receiver + eta * _receiver_best_reply(g, sender, tie="uniform")
-            br = _uniform_over(_near_best(_sender_values(g, receiver), 1e-12))
+            br = _uniform_over(_near_best(_sender_values(g, receiver), _TIE_TOL))
             sender = (1 - eta) * sender + eta * br
         # polish: restrict each sender row to its exact argmax support; with
         # eta < 1 the damped sender stays interior, so every support keeps mass
-        mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), 1e-12)
+        mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), _TIE_TOL)
         polished = mass / mass.sum(axis=1, keepdims=True)
-        yield MixedProfile(polished, _receiver_best_reply(g, polished))
+        yield polished, _receiver_best_reply(g, polished)
 
 
-def _profile_key(p: MixedProfile) -> bytes:
-    qs = np.round(p.sender / 1e-9).astype(np.int64)
-    qr = np.round(p.receiver / 1e-9).astype(np.int64)
-    return qs.tobytes() + b"|" + qr.tobytes()
-
-
-def generate_mixed_candidates(g: Game, rng: np.random.Generator,
-                              max_candidates: int = 200) -> list[MixedProfile]:
+def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedProfile]:
     """Candidate mixed equilibria from both generators, deduplicated.
 
     Exhaustive mixed enumeration is impossible, so the pure-dominance
     property is checked over this generated family: sender-indifference
     supports under every pure receiver, best-response dynamics rest
-    points, and the babbling profile.
+    points, and the babbling profile. Only the pairs kept after
+    deduplication are validated as profiles.
     """
     out: list[MixedProfile] = []
     seen: set[bytes] = set()
-    for p in itertools.chain([babbling_profile(g)],
-                             _support_enumeration_candidates(g),
-                             _dynamics_candidates(g, rng)):
-        key = _profile_key(p)
+    for sender, receiver in itertools.chain([_babbling(g)],
+                                            _support_enumeration_candidates(g),
+                                            _dynamics_candidates(g, rng)):
+        key = _quantized_key(_CANDIDATE_QUANTUM, sender, receiver)
         if key not in seen:
             seen.add(key)
-            out.append(p)
-        if len(out) >= max_candidates:
+            out.append(MixedProfile(sender, receiver))
+        if len(out) >= _MAX_CANDIDATES:
             break
     return out
 
@@ -478,21 +473,17 @@ class BatchReport:
         return not self.failures
 
 
-def dominance_batch(n_games: int, seed: int, max_states: int = 4,
-                    max_messages: int = 3, max_actions: int = 4,
-                    tol: float = 1e-7) -> BatchReport:
+def dominance_batch(n_games: int, seed: int) -> BatchReport:
     """Run the dominance check over a seeded batch of random games."""
     n_candidates = 0
     n_verified = 0
     failures: list[tuple[int, CandidateVerdict]] = []
     for gi in range(n_games):
         size_rng = np.random.default_rng([seed, gi])
-        n_s = int(size_rng.integers(2, max_states + 1))
-        n_m = int(size_rng.integers(2, max_messages + 1))
-        n_a = int(size_rng.integers(2, max_actions + 1))
-        g = random_game([seed, gi, 1], n_s, n_m, n_a)
+        sizes = [int(size_rng.integers(2, largest + 1)) for largest in _BATCH_SIZES]
+        g = random_game([seed, gi, 1], *sizes)
         candidates = generate_mixed_candidates(g, np.random.default_rng([seed, gi, 2]))
-        report = mixed_dominance_check(g, candidates, tol)
+        report = mixed_dominance_check(g, candidates)
         n_candidates += len(report.entries)
         n_verified += report.n_verified
         failures.extend((gi, e) for e in report.entries

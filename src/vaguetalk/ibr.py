@@ -28,7 +28,8 @@ import numpy as np
 
 from .listener import JointPrior, literal_update
 from .messages import Message
-from .prob import PROB_TOL, Dist, SupportMismatch, _kl_rows, kl_divergence, softmax
+from .prob import (Dist, SupportMismatch, _kl_rows, _quantized_key, _stochastic_rows,
+                   kl_divergence, softmax)
 from .speaker import NoTruthfulMessage, Observation, SpeakerStrategy, _argmax_with_tiebreak
 
 __all__ = [
@@ -60,14 +61,12 @@ class ListenerStrategy:
 
     def __post_init__(self) -> None:
         g = np.asarray(self.grid, dtype=float)
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] != g.size:
-            raise ValueError("matrix must be 2-d with one column per grid value")
-        if np.any(m < 0) or not np.all(np.abs(m.sum(axis=1) - 1.0) <= PROB_TOL):
-            raise ValueError("rows must be distributions over the grid")
-        for name, arr in (("grid", g), ("matrix", m)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        m = _stochastic_rows(self.matrix, "listener")
+        if m.shape[1] != g.size:
+            raise ValueError("matrix must have one column per grid value")
+        g.setflags(write=False)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "matrix", m)
 
     def row(self, msg_index: int) -> Dist:
         return Dist(self.grid, self.matrix[msg_index])
@@ -157,12 +156,6 @@ def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
     return ListenerStrategy(grid, matrix)
 
 
-def _pair_key(S: SpeakerStrategy, L: ListenerStrategy) -> bytes:
-    qs = np.round(S.matrix / _QUANTUM).astype(np.int64)
-    ql = np.round(L.matrix / _QUANTUM).astype(np.int64)
-    return qs.tobytes() + b"|" + ql.tobytes()
-
-
 def _pair_diff(a: tuple[SpeakerStrategy, ListenerStrategy],
                b: tuple[SpeakerStrategy, ListenerStrategy]) -> float:
     ds = float(np.max(np.abs(a[0].matrix - b[0].matrix)))
@@ -203,7 +196,7 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
                 trace.converged = True
                 trace.fixed_point_level = level - 1
                 break
-        key = _pair_key(S, L)
+        key = _quantized_key(_QUANTUM, S.matrix, L.matrix)
         if key in seen:
             trace.cycle_detected = True
             break

@@ -205,6 +205,28 @@ def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return kl
 
 
+def _stochastic_rows(matrix, what: str) -> np.ndarray:
+    """``matrix`` as a read-only 2-d float array of rows held to ``Dist``'s
+    bounds: nonnegative, summing to 1 within ``PROB_TOL`` (absolute)."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"{what} must be a 2-d matrix")
+    if np.any(m < 0) or not np.all(np.abs(m.sum(axis=1) - 1.0) <= PROB_TOL):
+        raise ValueError(f"{what} rows must be probability distributions")
+    m.setflags(write=False)
+    return m
+
+
+def _is_pure(matrix: np.ndarray) -> bool:
+    """Every entry is exactly 0 or 1."""
+    return bool(np.all((matrix == 0.0) | (matrix == 1.0)))
+
+
+def _quantized_key(quantum: float, *matrices: np.ndarray) -> bytes:
+    """Hashable key of the matrices with entries rounded to multiples of quantum."""
+    return b"|".join(np.round(m / quantum).astype(np.int64).tobytes() for m in matrices)
+
+
 def surprisal(p: Dist, k: float) -> float:
     """Surprisal ``-ln p(k)``; ``inf`` when ``p(k) = 0``."""
     pk = p.p(k)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .listener import ZeroPosterior
 from .messages import Message
-from .prob import Dist, kl_divergence, softmax
+from .prob import Dist, _is_pure, _stochastic_rows, kl_divergence, softmax
 
 __all__ = [
     "Observation",
@@ -57,12 +57,9 @@ class SpeakerStrategy:
     matrix: np.ndarray  # shape (n_observations, n_messages)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != len(self.obs_ids):
-            raise ValueError("matrix must be 2-d with one row per observation")
-        if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("rows must be distributions over the menu")
-        m.setflags(write=False)
+        m = _stochastic_rows(self.matrix, "speaker")
+        if m.shape[0] != len(self.obs_ids):
+            raise ValueError("matrix must have one row per observation")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "obs_ids", tuple(self.obs_ids))
 
@@ -71,7 +68,7 @@ class SpeakerStrategy:
 
     @property
     def is_pure(self) -> bool:
-        return bool(np.all(np.isin(self.matrix, (0.0, 1.0))))
+        return _is_pure(self.matrix)
 
     def message_index(self, obs_id: str) -> int:
         """Index of the single message sent for obs_id; pure rows only."""

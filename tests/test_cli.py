@@ -194,6 +194,17 @@ class TestGame:
         assert code == 0
         assert json.loads(out)["nash"] is True
 
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["directory", "bad-json"])
+    def test_unreadable_profile_path_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "profile.json"
+            path.write_text(content)
+        code, _, err = run(capsys, "game", QUESTION, "check", "--profile", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_dominance_on_file(self, capsys):
         code, out, _ = run(capsys, "game", HEIGHTS, "dominance", "--seed", "0")
         assert code == 0

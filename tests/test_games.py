@@ -173,6 +173,20 @@ class TestEnumeration:
             assert is_nash(g, profile).ok
             assert expected_payoff(g, profile) == pytest.approx(payoff, abs=1e-12)
 
+    def test_best_payoff_is_the_common_interest_optimum(self):
+        """A global maximiser of the shared payoff is a pure equilibrium, so
+        the best one is worth the max over receiver maps R of
+        sum_s prior_s * max_m payoff[s, R[m]]."""
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 5])
+            n_s, n_m, n_a = (int(rng.integers(1, hi + 1)) for hi in (5, 4, 4))
+            g = random_game([seed, 6], n_s, n_m, n_a)
+            prior, payoff = g.prior.tolist(), g.payoff.tolist()
+            optimum = max(
+                sum(p * max(row[a] for a in rm) for p, row in zip(prior, payoff))
+                for rm in itertools.product(range(n_a), repeat=n_m))
+            assert abs(enumerate_pure_equilibria(g)[0][1] - optimum) <= 1e-9, (seed, n_s, n_m, n_a)
+
     def test_single_state_game(self):
         g = Game(("only",), [1.0], ("m",), ("bad", "good"), [[0.0, 1.0]])
         eqs = enumerate_pure_equilibria(g)

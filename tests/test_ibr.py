@@ -70,12 +70,6 @@ class TestLevelZero:
             want = literal_update(prior, m)
             assert np.max(np.abs(L0.matrix[j] - want.probs)) == 0.0
 
-    def test_rows_must_sum_to_one_within_prob_tol(self):
-        grid = np.arange(2.0)
-        ListenerStrategy(grid, np.array([[0.5, 0.5 + 5e-10]]))
-        with pytest.raises(ValueError):
-            ListenerStrategy(grid, np.array([[0.5, 0.5 + 1e-6]]))
-
     def test_row_accessor(self, setup):
         prior, menu, _, _ = setup
         L0 = literal_listener_strategy(prior, menu)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguetalk import (AllUtilitiesNegativeInfinite, AllZeroWeights, Dist,
-                       LengthMismatch, SupportMismatch, ValueNotInSupport,
+                       LengthMismatch, ListenerStrategy, MixedProfile,
+                       SpeakerStrategy, SupportMismatch, ValueNotInSupport,
                        kl_divergence, normalize, point_mass, regrid, softmax,
                        surprisal, uniform)
 from vaguetalk.scenarios import _plain_kl
@@ -236,3 +237,22 @@ class TestSoftmax:
 def test_normalize_idempotent(d):
     again = normalize(d.probs, d.support)
     assert np.max(np.abs(again.probs - d.probs)) <= 1e-12
+
+
+# each builds a strategy whose one stochastic row is the given row
+STRATEGY_ROWS = {
+    "SpeakerStrategy": lambda row: SpeakerStrategy(("o",), [row]),
+    "MixedProfile.sender": lambda row: MixedProfile([row], [[1.0], [1.0]]),
+    "MixedProfile.receiver": lambda row: MixedProfile([[1.0]], [row]),
+    "ListenerStrategy": lambda row: ListenerStrategy(np.arange(2.0), [row]),
+}
+
+
+@pytest.mark.parametrize("build", STRATEGY_ROWS.values(), ids=STRATEGY_ROWS.keys())
+def test_strategy_rows_must_sum_to_one_within_prob_tol(build):
+    """The absolute PROB_TOL bound of Dist, with no relative slack."""
+    build([0.5, 0.5 + 5e-10])
+    with pytest.raises(ValueError, match="rows must be probability distributions"):
+        build([0.5, 0.5 + 1e-6])
+    with pytest.raises(ValueError, match="rows must be probability distributions"):
+        build([1.5, -0.5])

@@ -10,9 +10,10 @@ every original back.
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
-from vaguetalk import ibr, scenarios
+from vaguetalk import games, ibr, scenarios
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +53,17 @@ def test_wrapped_names_are_in_use(tracing):
     assert {"listener.interpret", "listener.literal_update", "speaker.utility_table",
             "speaker.best_index", "ibr.speaker_response"} <= names
     assert 0 < kl_calls_in_report < tracer.counts["prob.kl_calls"]
+
+
+def test_games_names_are_in_use(tracing):
+    tracer = tracing.Tracer()
+    g = games.random_game([0, 1], 3, 3, 3)
+    with tracing.traced_op(tracer, 0):
+        candidates = games.generate_mixed_candidates(g, np.random.default_rng(0))
+        games.mixed_dominance_check(g, candidates)
+    by_id = {s.id: s for s in tracer.spans}
+    parents = {s.name: by_id[s.parent].name for s in tracer.spans if s.parent in by_id}
+    assert parents["games.enumerate_pure_equilibria"] == "games.mixed_dominance_check"
+    assert parents["games.is_nash"] == "games.mixed_dominance_check"
+    assert tracer.counts["games.candidates"] == len(candidates) > 1
+    assert tracer.counts["games.pure_equilibria"] > 0
