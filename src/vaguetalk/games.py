@@ -89,8 +89,8 @@ class Game:
         states = tuple(self.states)
         messages = tuple(self.messages)
         actions = tuple(self.actions)
-        prior = np.asarray(self.prior, dtype=float)
-        payoff = np.asarray(self.payoff, dtype=float)
+        prior = np.array(self.prior, dtype=float)
+        payoff = np.array(self.payoff, dtype=float)
         if not states or not messages or not actions:
             raise ValueError("states, messages and actions must be nonempty")
         if prior.shape != (len(states),) or np.any(prior < 0) or not np.any(prior > 0):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .listener import JointPrior, literal_update
+from .listener import JointPrior, _literal_rows
+from .listener import literal_update  # noqa: F401  unused; perfbench/tracing.py wraps it by name
 from .messages import Message
 from .prob import (Dist, SupportMismatch, _kl_rows, _quantized_key, _stochastic_rows,
                    kl_divergence, softmax)
@@ -60,7 +61,7 @@ class ListenerStrategy:
     matrix: np.ndarray  # shape (n_messages, n_grid)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=float)
+        g = np.array(self.grid, dtype=float)
         m = _stochastic_rows(self.matrix, "listener")
         if m.shape[1] != g.size:
             raise ValueError("matrix must have one column per grid value")
@@ -97,9 +98,7 @@ class RecursionTrace:
 
 def literal_listener_strategy(prior: JointPrior, menu: Sequence[Message]) -> ListenerStrategy:
     """Level-0 rows: the literal posterior for each menu message."""
-    rows = [literal_update(prior, m) for m in menu]
-    grid = rows[0].support
-    return ListenerStrategy(grid, np.stack([r.probs for r in rows]))
+    return ListenerStrategy(*_literal_rows(prior, menu))
 
 
 def _utilities(observations: Sequence[Observation], L: ListenerStrategy) -> np.ndarray:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .messages import Around, Message, Threshold, denotation_vector
-from .prob import Dist, normalize, uniform
+from .prob import Dist, normalize
 
 __all__ = [
     "IndependentPrior",
@@ -89,9 +89,9 @@ class ExplicitJointPrior:
     param_kind: str = "around"
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.x_support, dtype=float)
-        ts = np.asarray(self.t_support, dtype=float)
-        j = np.asarray(self.joint, dtype=float)
+        xs = np.array(self.x_support, dtype=float)
+        ts = np.array(self.t_support, dtype=float)
+        j = np.array(self.joint, dtype=float)
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ts) <= 0):
             raise ValueError("supports must be strictly increasing")
         if j.shape != (xs.size, ts.size):
@@ -117,9 +117,35 @@ class ExplicitJointPrior:
 JointPrior = Union[IndependentPrior, ExplicitJointPrior]
 
 
-def _truth_matrix(m: Message, x_support: np.ndarray, t_support: np.ndarray) -> np.ndarray:
-    """Boolean matrix D[k, i] = truth of m at (x_support[k], t_support[i])."""
-    return np.stack([denotation_vector(m, x_support, float(t)) for t in t_support], axis=1)
+def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:
+    """The x grid and the L0 matrix, whose row j is the posterior after menu[j].
+
+    Each weight row is checked as it is built, so the first failing message
+    in menu order raises; then all rows are normalised at once.
+    """
+    if isinstance(prior, IndependentPrior):
+        xs, x_probs = prior.x.support, prior.x.probs
+    elif isinstance(prior, ExplicitJointPrior):
+        xs, x_probs = prior.x_support, prior.joint.sum(axis=1)
+    else:
+        raise TypeError(f"unknown prior type {type(prior).__name__}")
+    rows = []
+    for m in menu:
+        if not m.vague:
+            w = x_probs * denotation_vector(m, xs)
+        elif isinstance(prior, IndependentPrior):
+            t = prior.t_prior_for(m)
+            w = x_probs * (denotation_vector(m, xs[:, None], t.support) @ t.probs)
+        elif m.param_kind == prior.param_kind:
+            w = (prior.joint * denotation_vector(m, xs[:, None], prior.t_support)).sum(axis=1)
+        else:
+            raise MissingParamPrior(f"joint prior is over kind {prior.param_kind!r}, "
+                                    f"message needs {m.param_kind!r}")
+        if not np.any(w > 0):
+            raise ZeroPosterior(f"{m.label!r} is false everywhere under the prior")
+        rows.append(w)
+    weights = np.array(rows).reshape(-1, xs.size)
+    return xs, weights / weights.sum(axis=1, keepdims=True)
 
 
 def literal_update(prior: JointPrior, m: Message) -> Dist:
@@ -130,28 +156,8 @@ def literal_update(prior: JointPrior, m: Message) -> Dist:
     everywhere: the listener cannot update on a message she is certain is
     false, and silently falling back to the prior would hide scenario bugs.
     """
-    if isinstance(prior, IndependentPrior):
-        xs = prior.x.support
-        if m.vague:
-            t = prior.t_prior_for(m)
-            weights = prior.x.probs * (_truth_matrix(m, xs, t.support) @ t.probs)
-        else:
-            weights = prior.x.probs * denotation_vector(m, xs)
-    elif isinstance(prior, ExplicitJointPrior):
-        xs = prior.x_support
-        if m.vague:
-            if m.param_kind != prior.param_kind:
-                raise MissingParamPrior(
-                    f"joint prior is over kind {prior.param_kind!r}, "
-                    f"message needs {m.param_kind!r}")
-            weights = (prior.joint * _truth_matrix(m, xs, prior.t_support)).sum(axis=1)
-        else:
-            weights = prior.joint.sum(axis=1) * denotation_vector(m, xs)
-    else:
-        raise TypeError(f"unknown prior type {type(prior).__name__}")
-    if not np.any(weights > 0):
-        raise ZeroPosterior(f"{m.label!r} is false everywhere under the prior")
-    return normalize(weights, xs)
+    grid, matrix = _literal_rows(prior, (m,))
+    return Dist(grid, matrix[0])
 
 
 def literal_interpreter(prior: JointPrior) -> Callable[[Message], Dist]:

@@ -187,8 +187,13 @@ def denotation(m: Message, x: float, t: float | None = None) -> bool:
     raise TypeError(f"unknown message type {type(m).__name__}")
 
 
-def denotation_vector(m: Message, grid, t: float | None = None) -> np.ndarray:
-    """Vectorized ``denotation`` over a grid; returns a boolean array."""
+def denotation_vector(m: Message, grid, t=None) -> np.ndarray:
+    """Vectorized ``denotation`` over a grid; returns a boolean array.
+
+    ``grid`` and ``t`` broadcast against each other: with ``grid[:, None]``
+    and a 1-d array of parameter values, entry ``[k, i]`` is the truth of
+    ``m`` at ``(grid[k], t[i])``. Precise messages ignore ``t``.
+    """
     g = np.asarray(grid, dtype=float)
     if isinstance(m, Exact):
         return g == m.value

@@ -73,8 +73,8 @@ class Dist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+        support = np.array(self.support, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if support.ndim != 1 or probs.ndim != 1:
             raise ValueError("support and probs must be one-dimensional")
         if len(support) != len(probs):
@@ -208,7 +208,7 @@ def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _stochastic_rows(matrix, what: str) -> np.ndarray:
     """``matrix`` as a read-only 2-d float array of rows held to ``Dist``'s
     bounds: nonnegative, summing to 1 within ``PROB_TOL`` (absolute)."""
-    m = np.asarray(matrix, dtype=float)
+    m = np.array(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{what} must be a 2-d matrix")
     if np.any(m < 0) or not np.all(np.abs(m.sum(axis=1) - 1.0) <= PROB_TOL):

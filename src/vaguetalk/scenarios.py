@@ -29,11 +29,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .listener import (IndependentPrior, NonUniformPreconditionViolated,
+from .listener import (IndependentPrior, NonUniformPreconditionViolated, _literal_rows,
                        closed_form_posterior, literal_update)
 from .messages import (Around, AtLeast, AtMost, Between, Message, TALL,
                        denotation, precise_alternatives, vague_alternatives)
-from .prob import Dist, kl_divergence, normalize, uniform
+from .prob import Dist, _kl_rows, kl_divergence, normalize, uniform
 from .speaker import Observation, best_index, utility_table
 
 __all__ = [
@@ -100,7 +100,7 @@ class Scenario:
     listener_mode: str = "auto"
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=float)
+        g = np.array(self.grid, dtype=float)
         g.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "observations", tuple(self.observations))
@@ -447,32 +447,24 @@ def optimality_search(kind: str = "around", family: str = "default",
     if kind == "around":
         grid = ATTENDANCE_GRID
         menu = tuple(precise_alternatives(grid)) + tuple(vague_alternatives(grid, "around"))
-        unit = "persons"
     elif kind == "threshold":
         grid = HEIGHT_GRID
         menu = tuple(precise_alternatives(grid)) + tuple(vague_alternatives(grid, "threshold"))
-        unit = "cm"
     else:
         raise ValueError(f"unknown vague kind {kind!r}")
     if family == "default":
         family = "tent" if kind == "around" else "peaked"
     shapes = _observation_family(kind, family, grid, n_samples, seed)
-    sc = Scenario(
-        grid=grid, unit=unit, x_prior=uniform(grid),
-        t_priors=default_t_priors(grid),
-        observations=(Observation("probe", uniform(grid)),), weights=(1.0,),
-        menu=menu, listener_mode="bruteforce",
-    )
-    interpret = sc.interpreter()
+    x_prior, t_priors = uniform(grid), default_t_priors(grid)
+    _, L0 = _literal_rows(IndependentPrior(x_prior, t_priors), menu)
     # plain-Python posteriors for _verify_witness; they do not depend on the witness
-    t_priors = {None: uniform([0.0]), **sc.t_priors}
+    t_priors = {None: uniform([0.0]), **t_priors}
     oracle = [[float(v) for v in joint_enumeration_posterior(
-        sc.x_prior, t_priors[m.param_kind], m).probs] for m in menu]
+        x_prior, t_priors[m.param_kind], m).probs] for m in menu]
     vague_mask = np.array([m.vague for m in menu])
     witnesses = []
     for i, probs in enumerate(shapes):
-        o = Observation(f"sample{i}", Dist(grid, probs))
-        u = utility_table(o, menu, interpret)
+        u = -_kl_rows(probs, L0)
         best_vague = float(np.max(u[vague_mask]))
         best_precise = float(np.max(u[~vague_mask]))
         if not best_vague > best_precise:

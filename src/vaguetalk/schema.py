@@ -3,7 +3,9 @@
 Unknown keys are rejected rather than ignored, so a typo like "lamda"
 fails loudly with the offending key in the message instead of silently
 running with a default. All validation errors raise SchemaError with a
-path-like location prefix; the CLI maps them to exit code 2.
+path-like location prefix; the CLI maps them to exit code 2. A scenario
+whose listener matrices would exceed the cell budget raises
+BudgetExceeded before anything that size is built (exit code 5).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .games import Game, MixedProfile
+from .games import BudgetExceeded, Game, MixedProfile
 from .messages import (Message, MessageParseError, message_from_json,
                        precise_alternatives, vague_alternatives)
 from .prob import Dist, uniform
@@ -25,8 +27,19 @@ __all__ = ["SchemaError", "load_scenario", "scenario_from_obj",
            "load_game", "game_from_obj"]
 
 
+#: most cells a scenario may ask of one listener matrix: the L0 matrix
+#: (messages x grid points) or a vague message's truth matrix (grid points
+#: x parameter values); 10 M float cells are 80 MB
+_CELL_BUDGET = 10_000_000
+
+
 class SchemaError(ValueError):
     """Input file violates the schema; message carries the key path."""
+
+
+def _check_budget(cells: float, where: str) -> None:
+    if not cells <= _CELL_BUDGET:  # an infinite count fails too
+        raise BudgetExceeded(f"{where}: {cells:.4g} cells, over the budget of {_CELL_BUDGET:.4g}")
 
 
 def _is_number(x: Any) -> bool:
@@ -73,6 +86,7 @@ def _parse_grid(obj: Any) -> tuple[np.ndarray, str]:
         raise SchemaError("grid.unit: expected a string")
     if step <= 0 or hi < lo:
         raise SchemaError("grid: need step > 0 and max >= min")
+    _check_budget((hi - lo) / step + 1, "grid (one cell per point)")
     count = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(count)
     if abs(grid[-1] - hi) > 1e-9:
@@ -122,21 +136,23 @@ def _parse_menu(value: Any, grid: np.ndarray) -> tuple[Message, ...]:
         _check_keys(value, "menu", ("generate",))
         spec = value["generate"]
         parts = spec.split("+") if isinstance(spec, str) else []
-        menu: list[Message] = []
+        n = grid.size
+        sizes = {"precise": n * (n + 1) // 2, "around": n, "threshold": 2}
         for part in parts:
-            if part == "precise":
-                menu.extend(precise_alternatives(grid))
-            elif part in ("around", "threshold"):
-                menu.extend(vague_alternatives(grid, part))
-            else:
+            if part not in sizes:
                 raise SchemaError(
                     f"menu.generate: unknown part {part!r}; combine 'precise', "
                     f"'around', 'threshold' with '+'")
-        if not menu:
+        if not parts:
             raise SchemaError("menu.generate: produced an empty menu")
-        return tuple(menu)
+        size = sum(sizes[part] for part in parts)
+        _check_budget(size * n, f"menu ({size} messages x {n} grid points)")
+        return tuple(m for part in parts for m in (
+            precise_alternatives(grid) if part == "precise" else vague_alternatives(grid, part)))
     if not isinstance(value, list) or not value:
         raise SchemaError("menu: expected a nonempty list or a generate spec")
+    _check_budget(len(value) * grid.size,
+                  f"menu ({len(value)} messages x {grid.size} grid points)")
     menu = []
     for i, item in enumerate(value):
         try:
@@ -187,6 +203,9 @@ def scenario_from_obj(obj: Any) -> Scenario:
     grid, unit = _parse_grid(obj["grid"])
     x_prior = _parse_dist(obj.get("x_prior", "uniform"), grid, "x_prior")
     t_priors = _parse_t_priors(obj.get("t_prior"), grid)
+    for kind, t in t_priors.items():
+        _check_budget(grid.size * len(t),
+                      f"t_prior.{kind} ({grid.size} grid points x {len(t)} parameter values)")
     observations, weights = _parse_observations(obj["observations"], grid)
     menu = _parse_menu(obj["menu"], grid)
     lam = obj.get("lambda", 4.0)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .listener import ZeroPosterior
 from .messages import Message
-from .prob import Dist, _is_pure, _stochastic_rows, kl_divergence, softmax
+from .prob import Dist, SupportMismatch, _is_pure, _kl_rows, _stochastic_rows, softmax
+from .prob import kl_divergence  # noqa: F401  unused; perfbench/tracing.py wraps it by name
 
 __all__ = [
     "Observation",
@@ -86,17 +87,23 @@ def utility(o: Observation, m: Message, interpret: Callable[[Message], Dist]) ->
     maps to -inf: a message the listener cannot update on is useless to
     the speaker, not a crash.
     """
-    try:
-        post = interpret(m)
-    except ZeroPosterior:
-        return -math.inf
-    return -kl_divergence(o.dist, post)
+    return float(utility_table(o, (m,), interpret)[0])
 
 
 def utility_table(o: Observation, menu: Sequence[Message],
                   interpret: Callable[[Message], Dist]) -> np.ndarray:
     """Utilities for the full menu, -inf entries kept for inspection."""
-    return np.array([utility(o, m, interpret) for m in menu], dtype=float)
+    p = o.dist.probs
+    rows = np.zeros((len(menu), p.size))  # a ZeroPosterior message keeps its zero row
+    for j, m in enumerate(menu):
+        try:
+            post = interpret(m)
+        except ZeroPosterior:
+            continue
+        if not o.dist.same_support(post):
+            raise SupportMismatch("KL divergence needs identical supports")
+        rows[j] = post.probs
+    return -_kl_rows(p, rows)
 
 
 def _argmax_with_tiebreak(menu: Sequence[Message], utilities: np.ndarray) -> int:

@@ -271,6 +271,36 @@ class TestGame:
         assert "budget" in err
 
 
+
+#: scenario files past the 10 M cell budget, each in a different way
+OVERSIZE = {
+    # 301 * 302 / 2 + 301 = 45 752 messages x 301 grid points: 13.8 M cells
+    "menu": ({"min": 0, "max": 300, "step": 1}, {"generate": "precise+around"}),
+    # a 2-message menu, but "tall" needs 4 001 points x 4 001 default thresholds
+    "t_prior": ({"min": 0, "max": 4000, "step": 1}, {"generate": "threshold"}),
+    # 10 000 001 points: rejected before the grid is built
+    "grid": ({"min": 0, "max": 10_000_000, "step": 1}, [{"kind": "exact", "args": [0]}]),
+}
+
+
+@pytest.mark.parametrize("argv", [("posterior", "tall"), ("speak",), ("ibr",)],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("size", OVERSIZE)
+def test_oversize_scenario_exits_5(capsys, tmp_path, size, argv):
+    grid, menu = OVERSIZE[size]
+    path = tmp_path / "oversize.json"
+    path.write_text(json.dumps({
+        "grid": {**grid, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": menu,
+    }))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"error: {size}") and err.count("\n") == 1
+    assert "over the budget of 1e+07" in err
+
+
 class TestScenario:
     def test_around_table1_json(self, capsys):
         code, out, _ = run(capsys, "scenario", "around-table1")

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguetalk import (TALL, Around, AtLeast, Between, Dist, Exact,
+from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exact,
                        ExplicitJointPrior, IndependentPrior, MissingParamPrior,
                        NonUniformPreconditionViolated, Threshold, ZeroPosterior,
                        around_closed_form, closed_form_posterior, denotation,
-                       literal_interpreter, literal_update, tall_closed_form,
+                       joint_enumeration_posterior, literal_interpreter,
+                       literal_listener_strategy, literal_update, tall_closed_form,
                        uniform)
 
 GRID = np.arange(0.0, 81.0, 10.0)
@@ -233,3 +236,123 @@ def test_interpreter_memoizes():
     interp = literal_interpreter(table_prior())
     a = interp(Around(40.0))
     assert interp(Around(40.0)) is a
+
+
+@st.composite
+def points(draw, lo, hi, scale, max_size=6):
+    """A strictly increasing grid of integers in [lo, hi], times scale."""
+    values = draw(st.sets(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=max_size))
+    return scale * np.array(sorted(values), dtype=float)
+
+
+@st.composite
+def weights_with_zeros(draw, n):
+    """Nonnegative weights summing to 1, any of them possibly zero."""
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    if not w.any():
+        w[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    return w / w.sum()
+
+
+def messages(scale):
+    """Precise, "around", "tall" and "short" messages near a [0, 10] grid."""
+    value = st.integers(min_value=-2, max_value=12).map(lambda v: scale * v)
+    return st.one_of(value.map(Exact), value.map(AtLeast), value.map(AtMost),
+                     st.tuples(value, value).map(lambda b: Between(min(b), max(b))),
+                     value.map(Around), st.sampled_from([TALL, SHORT]))
+
+
+@st.composite
+def independent_cases(draw):
+    scale = draw(st.sampled_from([1.0, 0.5, 2.5]))
+    grid = draw(points(0, 10, scale, max_size=8))
+    x = Dist(grid, draw(weights_with_zeros(grid.size)))
+    t_priors = {}
+    for kind, lo, hi in (("around", 0, 6), ("threshold", -2, 12)):
+        ts = draw(points(lo, hi, scale))
+        t_priors[kind] = Dist(ts, draw(weights_with_zeros(ts.size)))
+    menu = draw(st.lists(messages(scale), min_size=1, max_size=8))
+    return IndependentPrior(x, t_priors), menu
+
+
+@st.composite
+def explicit_cases(draw):
+    scale = draw(st.sampled_from([1.0, 0.5, 2.5]))
+    grid = draw(points(0, 10, scale, max_size=8))
+    kind = draw(st.sampled_from(["around", "threshold"]))
+    ts = draw(points(0, 6, scale) if kind == "around" else points(-2, 12, scale))
+    joint = draw(weights_with_zeros(grid.size * ts.size)).reshape(grid.size, ts.size)
+    menu = draw(st.lists(messages(scale).filter(lambda m: m.param_kind in (None, kind)),
+                         min_size=1, max_size=8))
+    return ExplicitJointPrior(grid, ts, joint, kind), menu
+
+
+def explicit_enumeration(prior, m):
+    """Plain double loop over the (x, t) cells of an explicit joint prior."""
+    weights = []
+    for k, x in enumerate(prior.x_support):
+        total = 0.0
+        for i, t in enumerate(prior.t_support):
+            if denotation(m, float(x), float(t)):
+                total += float(prior.joint[k, i])
+        weights.append(total)
+    z = sum(weights)
+    if z <= 0:
+        raise ValueError(f"{m.label!r} is false everywhere under the prior")
+    return [w / z for w in weights]
+
+
+def check_literal_rows(prior, menu, oracle):
+    """L0 rows match the oracle; the first dead message raises ZeroPosterior.
+
+    Also checks that literal_update is the matrix's one-message case, bit
+    for bit.
+    """
+    rows = []
+    for m in menu:
+        try:
+            rows.append(oracle(m))
+        except ValueError:
+            rows.append(None)
+    dead = [m for m, row in zip(menu, rows) if row is None]
+    if dead:
+        with pytest.raises(ZeroPosterior, match=re.escape(f"{dead[0].label!r} is false")):
+            literal_listener_strategy(prior, menu)
+        menu = [m for m, row in zip(menu, rows) if row is not None]
+        rows = [row for row in rows if row is not None]
+    if not menu:
+        return
+    L = literal_listener_strategy(prior, menu)
+    assert np.max(np.abs(L.matrix - np.array(rows))) <= 1e-12
+    for m, row in zip(menu, L.matrix):
+        assert literal_update(prior, m).probs.tobytes() == row.tobytes()
+
+
+class TestLiteralRows:
+    """The one L0 kernel against the plain-Python enumeration oracles."""
+
+    @given(independent_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_independent_prior_matches_joint_enumeration(self, case):
+        prior, menu = case
+
+        def oracle(m):
+            t = prior.t_priors[m.param_kind] if m.vague else uniform([0.0])
+            return joint_enumeration_posterior(prior.x, t, m).probs
+
+        check_literal_rows(prior, menu, oracle)
+
+    @given(explicit_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_joint_matches_plain_double_loop(self, case):
+        prior, menu = case
+        check_literal_rows(prior, menu, lambda m: explicit_enumeration(prior, m))
+
+    def test_first_failing_message_in_menu_order_raises(self):
+        # no mass at 0 and no threshold prior: "exactly 0" fails before "tall"
+        prior = IndependentPrior(Dist([0.0, 1.0, 2.0], [0.0, 0.5, 0.5]))
+        with pytest.raises(ZeroPosterior, match="'exactly 0' is false everywhere"):
+            literal_listener_strategy(prior, [Exact(2.0), Exact(0.0), TALL])
+        with pytest.raises(MissingParamPrior, match="'threshold'"):
+            literal_listener_strategy(prior, [Exact(2.0), TALL, Exact(0.0)])

@@ -65,6 +65,16 @@ class TestDenotations:
             vec = denotation_vector(m, GRID, t)
             assert vec.tolist() == [denotation(m, x, t) for x in GRID]
 
+    def test_grid_column_broadcasts_against_parameter_values(self):
+        ts = np.array([-5.0, 0.0, 10.0, 25.0, 40.0, 80.0, 95.0])
+        for m in (Around(40.0), Around(35.0), TALL, SHORT):
+            truth = denotation_vector(m, GRID[:, None], ts)
+            per_t = np.stack([denotation_vector(m, GRID, float(t)) for t in ts], axis=1)
+            assert truth.shape == (GRID.size, ts.size)
+            assert np.array_equal(truth, per_t)
+            assert truth.tolist() == [[denotation(m, float(x), float(t)) for t in ts]
+                                      for x in GRID]
+
 
 class TestLabels:
     def test_labels(self):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguetalk import (AllUtilitiesNegativeInfinite, AllZeroWeights, Dist,
-                       LengthMismatch, ListenerStrategy, MixedProfile,
-                       SpeakerStrategy, SupportMismatch, ValueNotInSupport,
-                       kl_divergence, normalize, point_mass, regrid, softmax,
-                       surprisal, uniform)
+from vaguetalk import (AllUtilitiesNegativeInfinite, AllZeroWeights, Dist, Exact,
+                       ExplicitJointPrior, Game, LengthMismatch, ListenerStrategy,
+                       MixedProfile, Observation, Scenario, SpeakerStrategy,
+                       SupportMismatch, ValueNotInSupport, kl_divergence,
+                       normalize, point_mass, regrid, softmax, surprisal, uniform)
 from vaguetalk.scenarios import _plain_kl
 
 
@@ -256,3 +256,39 @@ def test_strategy_rows_must_sum_to_one_within_prob_tol(build):
         build([0.5, 0.5 + 1e-6])
     with pytest.raises(ValueError, match="rows must be probability distributions"):
         build([1.5, -0.5])
+
+
+def _scenario(grid):
+    return Scenario(grid, "u", uniform([0.0, 1.0]), {}, (Observation("o", uniform([0.0, 1.0])),),
+                    (1.0,), (Exact(0.0),))
+
+
+# constructor, the arrays a caller passes it, the attributes that keep them
+VALIDATED_ARRAYS = {
+    "Dist": (Dist, lambda: [np.arange(2.0), np.full(2, 0.5)], ("support", "probs")),
+    "SpeakerStrategy": (lambda m: SpeakerStrategy(("a", "b"), m), lambda: [np.eye(2)],
+                        ("matrix",)),
+    "MixedProfile": (MixedProfile, lambda: [np.eye(2), np.eye(2)], ("sender", "receiver")),
+    "ListenerStrategy": (ListenerStrategy, lambda: [np.arange(2.0), np.eye(2)],
+                         ("grid", "matrix")),
+    "ExplicitJointPrior": (ExplicitJointPrior,
+                           lambda: [np.arange(2.0), np.arange(2.0), np.full((2, 2), 0.25)],
+                           ("x_support", "t_support", "joint")),
+    "Scenario": (_scenario, lambda: [np.arange(2.0)], ("grid",)),
+    "Game": (lambda prior, payoff: Game(("s", "t"), prior, ("m",), ("x", "y"), payoff),
+             lambda: [np.full(2, 0.5), np.eye(2)], ("prior", "payoff")),
+}
+
+
+@pytest.mark.parametrize("build, arrays, attrs", VALIDATED_ARRAYS.values(),
+                         ids=VALIDATED_ARRAYS.keys())
+def test_constructors_keep_a_read_only_copy(build, arrays, attrs):
+    given = arrays()
+    obj = build(*given)
+    kept = [getattr(obj, attr).copy() for attr in attrs]
+    for a in given:
+        assert a.flags.writeable
+        a += 1.0
+    for attr, before in zip(attrs, kept):
+        assert np.array_equal(getattr(obj, attr), before)
+        assert not getattr(obj, attr).flags.writeable

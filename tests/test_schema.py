@@ -4,8 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from vaguetalk import (Around, Between, SchemaError, game_from_obj, load_game,
-                       load_scenario, scenario_from_obj)
+from vaguetalk import (Around, Between, BudgetExceeded, SchemaError, game_from_obj,
+                       load_game, load_scenario, scenario_from_obj)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -138,6 +138,24 @@ class TestScenarioParsing:
         bad.write_text("{not json")
         with pytest.raises(SchemaError, match="invalid JSON"):
             load_scenario(str(bad))
+
+    def test_cell_budget_admits_the_n_201_scaling_row(self):
+        obj = minimal_scenario_obj()
+        obj["grid"] = {"min": 0, "max": 200, "step": 1, "unit": "u"}
+        obj["observations"][0]["probs"] = "uniform"
+        sc = scenario_from_obj(obj)  # 20 502 messages x 201 points = 4.1 M cells
+        assert len(sc.menu) == 20_502
+
+    def test_cell_budget_covers_listed_menus(self):
+        obj = minimal_scenario_obj()
+        obj["grid"] = {"min": 0, "max": 99_999, "step": 1, "unit": "u"}
+        obj["t_prior"] = {kind: {"support": [0]} for kind in ("around", "threshold")}
+        obj["observations"][0]["probs"] = "uniform"
+        obj["menu"] = [{"kind": "exact", "args": [k]} for k in range(100)]
+        assert len(scenario_from_obj(obj).menu) == 100  # exactly 10 M cells
+        obj["menu"].append({"kind": "exact", "args": [100]})
+        with pytest.raises(BudgetExceeded, match=r"menu \(101 messages x 100000 grid points\)"):
+            scenario_from_obj(obj)
 
 
 class TestGameParsing:

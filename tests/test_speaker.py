@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguetalk import (DEFAULT_LAMBDA, Around, AtLeast, Between, Dist,
+from vaguetalk import (DEFAULT_LAMBDA, Around, AtLeast, Between, Dist, Exact,
                        IndependentPrior, NoTruthfulMessage, Observation,
-                       SpeakerStrategy, best_index, best_message,
-                       kl_divergence, literal_interpreter, softmax_speaker,
-                       uniform, utility, utility_table)
+                       SpeakerStrategy, SupportMismatch, ZeroPosterior, best_index,
+                       best_message, kl_divergence, literal_interpreter,
+                       softmax_speaker, uniform, utility, utility_table)
 
 GRID = np.arange(0.0, 81.0, 10.0)
 P_O = (0.0, 0.01, 0.01, 0.16, 0.64, 0.16, 0.01, 0.01, 0.0)
 
 
+PRIOR = IndependentPrior(uniform(GRID), {"around": uniform(np.arange(0.0, 41.0, 10.0))})
+
+
 @pytest.fixture
 def interp():
-    prior = IndependentPrior(
-        uniform(GRID),
-        {"around": uniform(np.arange(0.0, 41.0, 10.0))},
-    )
-    return literal_interpreter(prior)
+    return literal_interpreter(PRIOR)
 
 
 @pytest.fixture
@@ -58,6 +57,50 @@ class TestUtility:
         table = utility_table(obs, menu, interp)
         assert table.shape == (3,)
         assert table[2] == -math.inf
+
+
+@st.composite
+def observations_with_zeros(draw):
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    w = np.array(draw(st.lists(weight, min_size=GRID.size, max_size=GRID.size)))
+    if not w.any():
+        w[draw(st.integers(min_value=0, max_value=GRID.size - 1))] = 1.0
+    return Observation("o", Dist(GRID, w / w.sum()))
+
+
+#: precise and vague messages; "exactly 45" and "between 90 and 100" are
+#: false everywhere on GRID
+TABLE_MENU = (Between(10.0, 70.0), Around(40.0), Around(0.0), Exact(40.0),
+              Exact(45.0), AtLeast(30.0), Between(90.0, 100.0), Around(80.0))
+
+
+class TestUtilityTable:
+    @given(observations_with_zeros())
+    @settings(max_examples=100)
+    def test_is_minus_kl_per_message(self, o):
+        interp = literal_interpreter(PRIOR)
+        expected = []
+        for m in TABLE_MENU:
+            try:
+                expected.append(-kl_divergence(o.dist, interp(m)))
+            except ZeroPosterior:
+                expected.append(-math.inf)
+        table = utility_table(o, TABLE_MENU, interp)
+        assert table.tobytes() == np.array(expected).tobytes()
+        for m, u in zip(TABLE_MENU, table):
+            assert utility(o, m, interp) == utility_table(o, (m,), interp)[0] == u
+
+    def test_empty_menu(self, interp, obs):
+        assert utility_table(obs, (), interp).shape == (0,)
+
+    def test_interpreter_on_another_grid_raises(self, obs):
+        wider = literal_interpreter(IndependentPrior(uniform(np.arange(0.0, 91.0, 10.0))))
+        with pytest.raises(SupportMismatch):
+            utility_table(obs, (Exact(90.0), Between(10.0, 70.0)), wider)
+        with pytest.raises(SupportMismatch):
+            utility(obs, Between(10.0, 70.0), wider)
+        # a message the interpreter cannot update on never reaches the check
+        assert utility(obs, Exact(45.0), wider) == -math.inf
 
 
 class TestBestMessage:
