@@ -52,6 +52,7 @@ ENUMERATION_BUDGET = 10 ** 7
 _TIE_TOL = 1e-12  # best-reply ties in the candidate generators
 _DYNAMICS = (6, 80, 0.5)  # random starts, damped steps per start, damping eta
 _MAX_CANDIDATES, _CANDIDATE_QUANTUM = 200, 1e-9  # kept candidates; dedupe rounding
+_ENUMERATION_BLOCK = 1024  # sender maps checked per batch in enumerate_pure_equilibria
 _BATCH_SIZES = (4, 3, 4)  # largest states, messages, actions in dominance_batch
 _Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) matrices of a candidate
 
@@ -143,6 +144,26 @@ class MixedProfile:
         return _is_pure(self.sender) and _is_pure(self.receiver)
 
 
+def _profiles(senders: np.ndarray, receivers: np.ndarray) -> list[MixedProfile]:
+    """One profile per slot of a (n, S, M) sender and a (n, M, A) receiver
+    stack, as MixedProfile(senders[i], receivers[i]) would build it.
+
+    Each stack's rows are checked once, and every profile wraps read-only
+    slices of the checked stacks.
+    """
+    checked = [_stochastic_rows(stack.reshape(-1, stack.shape[-1]), name).reshape(stack.shape)
+               for stack, name in ((senders, "sender"), (receivers, "receiver"))]
+    if senders.shape[-1] != receivers.shape[-2]:
+        raise DimensionMismatch("sender columns must match receiver rows")
+    out = []
+    for sender, receiver in zip(*checked, strict=True):
+        p = object.__new__(MixedProfile)
+        object.__setattr__(p, "sender", sender)
+        object.__setattr__(p, "receiver", receiver)
+        out.append(p)
+    return out
+
+
 def _one_hot(indices, n: int) -> np.ndarray:
     """Rows of the n x n identity picked by indices (any shape)."""
     return np.eye(n)[np.asarray(indices)]
@@ -155,7 +176,7 @@ def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
 
 def _uniform_over(mask: np.ndarray) -> np.ndarray:
     """Each row spread evenly over its True entries."""
-    return mask / mask.sum(axis=1, keepdims=True)
+    return mask / mask.sum(axis=-1, keepdims=True)
 
 
 def _check_dims(g: Game, p: MixedProfile) -> None:
@@ -198,22 +219,25 @@ class NashResult:
 
 
 def _sender_values(g: Game, receiver: np.ndarray) -> np.ndarray:
-    """SV[s, m] = payoff to state s of sending m, given the receiver."""
-    return g.payoff @ receiver.T
+    """SV[..., s, m] = payoff to state s of sending m, given the receiver
+    (any leading batch axes)."""
+    return g.payoff @ np.swapaxes(receiver, -1, -2)
 
 
 def _bayes(g: Game, sender: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Message use, and each message's action values under its posterior.
 
-    Unused messages get the prior's action values. The posteriors are
-    stacked as C-contiguous rows and multiplied as a batch of 1 x S
-    matrices: this rounds exactly as each posterior @ payoff does alone,
-    which matters because exact ties feed argmax.
+    Takes a sender with any leading batch axes; unused messages get the
+    prior's action values. The posteriors are stacked as C-contiguous rows
+    and multiplied as a batch of 1 x S matrices: this rounds exactly as
+    each posterior @ payoff does alone, in a batch of senders as for one
+    sender, which matters because exact ties feed argmax.
     """
     use = g.prior @ sender
     used = use > 0
-    post = np.ascontiguousarray((g.prior[:, None] * sender / np.where(used, use, 1.0)).T)
-    values = (post[:, None, :] @ g.payoff)[:, 0, :]
+    post = g.prior[:, None] * sender / np.where(used, use, 1.0)[..., None, :]
+    post = np.ascontiguousarray(np.swapaxes(post, -1, -2))
+    values = (post[..., None, :] @ g.payoff)[..., 0, :]
     values[~used] = g.prior @ g.payoff
     return use, values
 
@@ -250,6 +274,18 @@ def pure_profile(g: Game, sender_map: Sequence[int], receiver_map: Sequence[int]
     return p
 
 
+def _all_receiver_maps(g: Game) -> tuple[np.ndarray, np.ndarray]:
+    """Every pure receiver map, in itertools.product order, and the sender
+    values under each: sv[r, s, m] = payoff[s, maps[r, m]].
+
+    This equals _sender_values of the one-hot receiver exactly: that
+    product only adds exact zeros to the picked payoff, which turns a
+    -0.0 into 0.0, as adding 0.0 does here.
+    """
+    maps = np.array(list(itertools.product(range(g.n_actions), repeat=g.n_messages)))
+    return maps, np.moveaxis(g.payoff[:, maps], 0, 1) + 0.0
+
+
 def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
                               budget: int = ENUMERATION_BUDGET
                               ) -> list[tuple[MixedProfile, float]]:
@@ -262,28 +298,45 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     nominal = g.n_messages ** g.n_states * g.n_actions ** g.n_messages
     if nominal > budget:
         raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
-    results: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
-    states, messages = np.arange(g.n_states), np.arange(g.n_messages)
+    maps, sv = _all_receiver_maps(g)
+    states = np.arange(g.n_states)
+    # positive-prior states must send within tol of their best value;
+    # zero-prior states are unconstrained
+    allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
+    counts = allowed.sum(axis=-1)  # (receiver maps, states)
+    picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
+    sizes = counts.prod(axis=-1)  # sender maps per receiver map
     weighted = g.prior[:, None] * g.payoff
-    for receiver_map in itertools.product(range(g.n_actions), repeat=g.n_messages):
-        sv = _sender_values(g, _one_hot(receiver_map, g.n_actions))
-        # positive-prior states must send within tol of their best value;
-        # zero-prior states are unconstrained
-        allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
-        maps = np.array(list(itertools.product(*map(np.flatnonzero, allowed))))
+    found_r, found_s = [], []
+    # receiver maps in blocks of about _ENUMERATION_BLOCK sender maps
+    cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // _ENUMERATION_BLOCK)) + 1
+    for block in np.split(np.arange(len(maps)), cuts):
+        r = np.repeat(block, sizes[block])
+        # each receiver map's sender maps in itertools.product order: a
+        # mixed-radix count over the allowed sets, the last state fastest
+        rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes[block]) - sizes[block], sizes[block])
+        digits = np.empty((len(r), g.n_states), dtype=int)
+        for s in reversed(states):
+            rank, digits[:, s] = np.divmod(rank, counts[r, s])
+        senders = picks[r[:, None], states, digits]
         # the receiver must answer each used message with a Bayes best action;
         # values are unnormalised, so tol scales with use and unused messages
         # (all values 0) never fail
-        sent = np.swapaxes(_one_hot(maps, g.n_messages), 1, 2)  # (maps, messages, states)
+        sent = np.swapaxes(_one_hot(senders, g.n_messages), 1, 2)  # (maps, messages, states)
         values = sent @ weighted
-        answered = values[:, messages, receiver_map]
+        answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
         ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
-        # a running sum adds the states in order, as a plain sum would
-        payoffs = np.cumsum(g.prior * sv[states, maps[ok]], axis=1)[:, -1]
-        results.extend((tuple(map(int, sm)), receiver_map, float(pay))
-                       for sm, pay in zip(maps[ok], payoffs))
-    results.sort(key=lambda r: (-r[2], r[0], r[1]))
-    return [(pure_profile(g, sm, rm), pay) for sm, rm, pay in results]
+        found_r.append(r[ok])
+        found_s.append(senders[ok])
+    r, senders = np.concatenate(found_r), np.concatenate(found_s)
+    # a running sum adds the states in order, as a plain sum would
+    payoffs = np.cumsum(g.prior * sv[r[:, None], states, senders], axis=1)[:, -1]
+    receivers = maps[r]
+    order = np.lexsort((*receivers.T[::-1], *senders.T[::-1], -payoffs))
+    # boolean one-hot rows: _profiles makes the float copies it keeps
+    profiles = _profiles(np.eye(g.n_messages, dtype=bool)[senders[order]],
+                         np.eye(g.n_actions, dtype=bool)[receivers[order]])
+    return list(zip(profiles, payoffs[order].tolist()))
 
 
 def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.ndarray:
@@ -294,7 +347,7 @@ def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.
     """
     _, values = _bayes(g, sender)
     if tie == "first":
-        return _one_hot(values.argmax(axis=1), g.n_actions)
+        return _one_hot(values.argmax(axis=-1), g.n_actions)
     return _uniform_over(_near_best(values, _TIE_TOL))
 
 
@@ -321,43 +374,48 @@ def _support_enumeration_candidates(g: Game) -> Iterable[_Pair]:
     two skewed weightings, paired both with that receiver and with the
     exact Bayes reply to the mixed sender.
     """
-    for receiver_map in itertools.product(range(g.n_actions), repeat=g.n_messages):
-        receiver = _one_hot(receiver_map, g.n_actions)
-        tied = _near_best(_sender_values(g, receiver), _TIE_TOL)
-        counts = tied.sum(axis=1)
-        if np.all(counts == 1):
-            continue
-        # a two-way tie gets weight w on its lower message; wider ties are uniform
-        lower = _one_hot(tied.argmax(axis=1), g.n_messages) == 1
-        pairs = (counts == 2)[:, None]
-        for w in (0.5, 0.25, 0.75):
-            sender = np.where(pairs, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
+    maps, sv = _all_receiver_maps(g)
+    tied = _near_best(sv, _TIE_TOL)
+    counts = tied.sum(axis=-1, keepdims=True)
+    mixing = np.flatnonzero(np.any(counts != 1, axis=(1, 2)))
+    tied, counts = tied[mixing, None], counts[mixing, None]  # (mixing maps, 1, S, ...)
+    # a two-way tie gets weight w on its lower message; wider ties are uniform
+    lower = _one_hot(tied.argmax(axis=-1), g.n_messages) == 1
+    w = np.array([0.5, 0.25, 0.75])[:, None, None]
+    senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
+    replies = _receiver_best_reply(g, senders)  # (mixing maps, weightings, M, A)
+    for weighted, receiver, replied in zip(senders, _one_hot(maps[mixing], g.n_actions), replies):
+        for sender, reply in zip(weighted, replied):
             yield sender, receiver
-            yield sender, _receiver_best_reply(g, sender)
+            yield sender, reply
 
 
 def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterable[_Pair]:
     """Damped best-response dynamics from random interior starts.
 
-    After the damped phase, the sender is polished onto exact argmax
-    supports (keeping relative mass) and the receiver is recomputed as an
-    exact best reply, so stable rest points come out as clean candidates.
+    The starts are drawn one after another, sender then receiver, and run
+    together as stacks. After the damped phase, the sender is polished onto
+    exact argmax supports (keeping relative mass) and the receiver is
+    recomputed as an exact best reply, so stable rest points come out as
+    clean candidates.
     """
     starts, steps, eta = _DYNAMICS
+    senders, receivers = [], []
     for _ in range(starts):
         sender = rng.random((g.n_states, g.n_messages)) + 1e-3
-        sender /= sender.sum(axis=1, keepdims=True)
+        senders.append(sender / sender.sum(axis=1, keepdims=True))
         receiver = rng.random((g.n_messages, g.n_actions)) + 1e-3
-        receiver /= receiver.sum(axis=1, keepdims=True)
-        for _ in range(steps):
-            receiver = (1 - eta) * receiver + eta * _receiver_best_reply(g, sender, tie="uniform")
-            br = _uniform_over(_near_best(_sender_values(g, receiver), _TIE_TOL))
-            sender = (1 - eta) * sender + eta * br
-        # polish: restrict each sender row to its exact argmax support; with
-        # eta < 1 the damped sender stays interior, so every support keeps mass
-        mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), _TIE_TOL)
-        polished = mass / mass.sum(axis=1, keepdims=True)
-        yield polished, _receiver_best_reply(g, polished)
+        receivers.append(receiver / receiver.sum(axis=1, keepdims=True))
+    sender, receiver = np.stack(senders), np.stack(receivers)
+    for _ in range(steps):
+        receiver = (1 - eta) * receiver + eta * _receiver_best_reply(g, sender, tie="uniform")
+        br = _uniform_over(_near_best(_sender_values(g, receiver), _TIE_TOL))
+        sender = (1 - eta) * sender + eta * br
+    # polish: restrict each sender row to its exact argmax support; with
+    # eta < 1 the damped sender stays interior, so every support keeps mass
+    mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), _TIE_TOL)
+    polished = mass / mass.sum(axis=-1, keepdims=True)
+    yield from zip(polished, _receiver_best_reply(g, polished))
 
 
 def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedProfile]:
@@ -369,7 +427,7 @@ def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedPr
     points, and the babbling profile. Only the pairs kept after
     deduplication are validated as profiles.
     """
-    out: list[MixedProfile] = []
+    kept: list[_Pair] = []
     seen: set[bytes] = set()
     for sender, receiver in itertools.chain([_babbling(g)],
                                             _support_enumeration_candidates(g),
@@ -377,10 +435,10 @@ def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedPr
         key = _quantized_key(_CANDIDATE_QUANTUM, sender, receiver)
         if key not in seen:
             seen.add(key)
-            out.append(MixedProfile(sender, receiver))
-        if len(out) >= _MAX_CANDIDATES:
-            break
-    return out
+            kept.append((sender, receiver))
+            if len(kept) >= _MAX_CANDIDATES:
+                break
+    return _profiles(*map(np.stack, zip(*kept)))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,8 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
+    if not menu:
+        raise ValueError("menu must be nonempty")
     if tol <= 0:
         raise ValueError("tol must be positive")
     L0 = literal_listener_strategy(prior, menu)

@@ -71,6 +71,14 @@ GAUSSIAN_MEAN = 175.0
 GAUSSIAN_SD = 10.0
 
 
+def _default_width_count(grid) -> int:
+    """How many halo widths default_t_priors gives "around"."""
+    g = np.asarray(grid, dtype=float)
+    if g.size == 1:
+        return 1
+    return math.floor((g[-1] - g[0]) / (2 * float(g[1] - g[0]))) + 1
+
+
 def default_t_priors(grid) -> dict[str, Dist]:
     """Uniform parameter priors: halo widths 0..floor(span/2) at the grid
     step for "around", thresholds over the grid itself for tall/short."""
@@ -78,9 +86,8 @@ def default_t_priors(grid) -> dict[str, Dist]:
     if g.size == 1:
         return {"around": uniform([0.0]), "threshold": uniform(g)}
     step = float(g[1] - g[0])
-    half = math.floor((g[-1] - g[0]) / (2 * step))
     return {
-        "around": uniform(step * np.arange(half + 1)),
+        "around": uniform(step * np.arange(_default_width_count(g))),
         "threshold": uniform(g),
     }
 

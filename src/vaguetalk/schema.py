@@ -20,7 +20,7 @@ from .games import BudgetExceeded, Game, MixedProfile
 from .messages import (Message, MessageParseError, message_from_json,
                        precise_alternatives, vague_alternatives)
 from .prob import Dist, uniform
-from .scenarios import LISTENER_MODES, Scenario, default_t_priors
+from .scenarios import LISTENER_MODES, Scenario, _default_width_count, default_t_priors
 from .speaker import Observation
 
 __all__ = ["SchemaError", "load_scenario", "scenario_from_obj",
@@ -105,12 +105,10 @@ def _parse_dist(value: Any, support: np.ndarray, where: str) -> Dist:
 
 
 def _parse_t_priors(obj: Any, grid: np.ndarray) -> dict[str, Dist]:
-    priors = default_t_priors(grid)
-    if obj is None:
-        return priors
-    if not isinstance(obj, dict):
+    if obj is not None and not isinstance(obj, dict):
         raise SchemaError("t_prior: expected an object keyed by vague kind")
-    for kind, spec in obj.items():
+    given: dict[str, Dist] = {}
+    for kind, spec in (obj or {}).items():
         if kind not in ("around", "threshold"):
             raise SchemaError(f"t_prior: unknown vague kind {kind!r}")
         where = f"t_prior.{kind}"
@@ -122,9 +120,15 @@ def _parse_t_priors(obj: Any, grid: np.ndarray) -> dict[str, Dist]:
             raise SchemaError(f"{where}.support: values must be strictly increasing")
         if np.any(support < 0):
             raise SchemaError(f"{where}.support: parameter values must be nonnegative")
-        priors[kind] = _parse_dist(spec.get("probs", "uniform"), support,
-                                   f"{where}.probs")
-    return priors
+        given[kind] = _parse_dist(spec.get("probs", "uniform"), support, f"{where}.probs")
+    # the defaults are as long as the grid, or half of it: check every
+    # prior's size before they are built
+    sizes = {"around": _default_width_count(grid), "threshold": grid.size}
+    for kind, default in sizes.items():
+        n = len(given[kind]) if kind in given else default
+        _check_budget(grid.size * n,
+                      f"t_prior.{kind} ({grid.size} grid points x {n} parameter values)")
+    return given if len(given) == len(sizes) else default_t_priors(grid) | given
 
 
 def _on_grid(value: float, grid: np.ndarray) -> bool:
@@ -201,11 +205,8 @@ def scenario_from_obj(obj: Any) -> Scenario:
     _check_keys(obj, "scenario", ("grid", "observations", "menu"),
                 ("x_prior", "t_prior", "lambda", "mode"))
     grid, unit = _parse_grid(obj["grid"])
+    t_priors = _parse_t_priors(obj.get("t_prior"), grid)  # sized before any grid-long copy
     x_prior = _parse_dist(obj.get("x_prior", "uniform"), grid, "x_prior")
-    t_priors = _parse_t_priors(obj.get("t_prior"), grid)
-    for kind, t in t_priors.items():
-        _check_budget(grid.size * len(t),
-                      f"t_prior.{kind} ({grid.size} grid points x {len(t)} parameter values)")
     observations, weights = _parse_observations(obj["observations"], grid)
     menu = _parse_menu(obj["menu"], grid)
     lam = obj.get("lambda", 4.0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from vaguetalk import (BudgetExceeded, Game, MissingQuestion, MixedProfile,
                        generate_mixed_candidates, is_nash,
                        mixed_dominance_check, precisify, pure_profile,
                        question_precision, random_game, speaker_meaning)
+from vaguetalk.games import DimensionMismatch, _profiles
 
 
 def heights_game():
@@ -35,6 +37,34 @@ def question_game():
         payoff=[[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
         question=((2,), (0, 1)),
     )
+
+
+def tied_game(seed, largest=(5, 4, 4)):
+    """Seeded game from 1x1x1 up to `largest` states x messages x actions.
+
+    Every other game copies one payoff column onto another (exact ties
+    between actions, hence between messages), and every third one gives a
+    state zero prior (an unconstrained sender row).
+    """
+    rng = np.random.default_rng([seed, 8])
+    n_s, n_m, n_a = (int(rng.integers(1, hi + 1)) for hi in largest)
+    weights = rng.random(n_s) + 0.05
+    if seed % 3 == 0 and n_s > 1:
+        weights[rng.integers(n_s)] = 0.0
+    payoff = rng.random((n_s, n_a))
+    if seed % 2 == 0 and n_a > 1:
+        source, target = rng.choice(n_a, 2, replace=False)
+        payoff[:, target] = payoff[:, source]
+    return Game(states=tuple(f"s{i}" for i in range(n_s)),
+                prior=weights / weights.sum(),
+                messages=tuple(f"m{i}" for i in range(n_m)),
+                actions=tuple(f"a{i}" for i in range(n_a)),
+                payoff=payoff)
+
+
+def pure_maps(profile):
+    return (tuple(map(int, profile.sender.argmax(axis=1))),
+            tuple(map(int, profile.receiver.argmax(axis=1))))
 
 
 def oracle_is_pure_nash(g, sender_map, receiver_map, tol=1e-9):
@@ -173,6 +203,19 @@ class TestEnumeration:
             assert is_nash(g, profile).ok
             assert expected_payoff(g, profile) == pytest.approx(payoff, abs=1e-12)
 
+    def test_matches_slow_oracle_with_ties_and_zero_priors(self):
+        for seed in range(300):
+            g = tied_game(seed, (3, 3, 3))
+            fast = enumerate_pure_equilibria(g)
+            slow = {(sm, rm): pay for sm, rm, pay in oracle_enumerate(g)}
+            maps = [pure_maps(profile) for profile, _ in fast]
+            assert set(maps) == set(slow), seed
+            for key, (_, payoff) in zip(maps, fast):
+                assert abs(payoff - slow[key]) <= 1e-12, (seed, key)
+            # best first, ties broken by sender map, then receiver map
+            keys = [(-payoff, *key) for key, (_, payoff) in zip(maps, fast)]
+            assert keys == sorted(keys), seed
+
     def test_best_payoff_is_the_common_interest_optimum(self):
         """A global maximiser of the shared payoff is a pure equilibrium, so
         the best one is worth the max over receiver maps R of
@@ -275,6 +318,70 @@ class TestDominance:
         a = dominance_batch(10, seed=1)
         b = dominance_batch(10, seed=2)
         assert (a.n_candidates, a.n_verified) != (b.n_candidates, b.n_verified)
+
+
+class TestProfileStacks:
+    def stacks(self, n=4, shape=(3, 2, 4)):
+        rng = np.random.default_rng(n)
+        n_s, n_m, n_a = shape
+        senders = rng.random((n, n_s, n_m))
+        receivers = rng.random((n, n_m, n_a))
+        return (senders / senders.sum(axis=2, keepdims=True),
+                receivers / receivers.sum(axis=2, keepdims=True))
+
+    def test_equal_to_mixed_profile_and_read_only(self):
+        senders, receivers = self.stacks()
+        profiles = _profiles(senders, receivers)
+        assert len(profiles) == len(senders)
+        for p, s, r in zip(profiles, senders, receivers):
+            q = MixedProfile(s, r)
+            assert p.sender.tobytes() == q.sender.tobytes()
+            assert p.receiver.tobytes() == q.receiver.tobytes()
+            assert p.sender.shape == q.sender.shape and p.receiver.shape == q.receiver.shape
+            assert p.sender.dtype == q.sender.dtype and p.receiver.dtype == q.receiver.dtype
+            assert not p.sender.flags.writeable and not p.receiver.flags.writeable
+            with pytest.raises(ValueError):
+                p.sender[0, 0] = 0.5
+
+    @pytest.mark.parametrize("stack", [0, 1])
+    @pytest.mark.parametrize("slot", [0, 2, 3])
+    @pytest.mark.parametrize("bad", [1.0 + 1e-6, -0.25])
+    def test_a_bad_row_anywhere_raises_as_mixed_profile_does(self, stack, slot, bad):
+        pair = [m.copy() for m in self.stacks()]
+        pair[stack][slot, -1, 0] = bad
+        with pytest.raises(ValueError) as expected:
+            MixedProfile(pair[0][slot], pair[1][slot])
+        with pytest.raises(ValueError) as got:
+            _profiles(*pair)
+        assert str(got.value) == str(expected.value)
+
+    def test_empty_stack(self):
+        assert _profiles(np.zeros((0, 3, 2)), np.zeros((0, 2, 4))) == []
+
+    def test_dimension_mismatch(self):
+        senders, receivers = self.stacks()
+        with pytest.raises(DimensionMismatch):
+            _profiles(senders, receivers[:, :1, :])
+
+
+class TestPinnedOutput:
+    # sha256 of the candidates, dominance reports and pure equilibria of
+    # 300 seeded games with exact ties and zero-prior states; any change to
+    # a byte of the games half's output shows here
+    DIGEST = "4a5b8798fe47946b8c59a0eba23757eb78827430945a29222a01d9fdf8fad04a"
+
+    def test_games_output_is_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(300):
+            g = tied_game(seed)
+            candidates = generate_mixed_candidates(g, np.random.default_rng([seed, 9]))
+            for c in candidates:
+                h.update(c.sender.tobytes() + c.receiver.tobytes())
+            h.update(repr(mixed_dominance_check(g, candidates)).encode())
+            for profile, payoff in enumerate_pure_equilibria(g):
+                h.update(profile.sender.tobytes() + profile.receiver.tobytes())
+                h.update(repr(payoff).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestRandomGame:

@@ -180,6 +180,11 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(prior, menu, obs, weights, tol=0.0)
 
+    def test_empty_menu_is_a_library_error(self, setup):
+        prior, _, obs, weights = setup
+        with pytest.raises(ValueError, match="^menu must be nonempty$"):
+            iterate(prior, (), obs, weights)
+
     def test_no_fallback_mode_runs_when_nothing_dies(self):
         # single message menu: it is always sent, fallback never needed
         prior = table_prior()

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,35 @@ class TestScenarioParsing:
         obj["menu"].append({"kind": "exact", "args": [100]})
         with pytest.raises(BudgetExceeded, match=r"menu \(101 messages x 100000 grid points\)"):
             scenario_from_obj(obj)
+
+
+    def test_default_t_priors_are_sized_before_they_are_built(self):
+        obj = minimal_scenario_obj()
+        obj["grid"] = {"min": 0, "max": 1_999_999, "step": 1, "unit": "u"}
+        obj["observations"][0]["probs"] = "uniform"
+        obj["menu"] = [{"kind": "exact", "args": [0]}]
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"^t_prior\.around \(2000000 grid points x "
+                                                     r"1000000 parameter values\)"):
+                scenario_from_obj(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # the grid alone is 16 MB
+
+    def test_given_t_priors_replace_the_sized_defaults(self):
+        obj = minimal_scenario_obj()
+        obj["grid"] = {"min": 0, "max": 9_999, "step": 1, "unit": "u"}
+        obj["observations"][0]["probs"] = "uniform"
+        obj["menu"] = [{"kind": "exact", "args": [0]}]
+        obj["t_prior"] = {"around": {"support": [0, 1]}}
+        with pytest.raises(BudgetExceeded, match=r"^t_prior\.threshold \(10000 grid points"):
+            scenario_from_obj(obj)
+        obj["t_prior"]["threshold"] = {"support": [5]}
+        sc = scenario_from_obj(obj)
+        assert list(sc.t_priors) == ["around", "threshold"]
+        assert [len(t) for t in sc.t_priors.values()] == [2, 1]
 
 
 class TestGameParsing:
