@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +52,8 @@ ENUMERATION_BUDGET = 10 ** 7
 _TIE_TOL = 1e-12  # best-reply ties in the candidate generators
 _DYNAMICS = (6, 80, 0.5)  # random starts, damped steps per start, damping eta
 _MAX_CANDIDATES, _CANDIDATE_QUANTUM = 200, 1e-9  # kept candidates; dedupe rounding
-_ENUMERATION_BLOCK = 1024  # sender maps checked per batch in enumerate_pure_equilibria
+_RECEIVER_BLOCK = 256  # receiver maps per batch in the enumeration and support candidates
+_SENDER_BLOCK = 1024  # sender maps (about) checked per batch in enumerate_pure_equilibria
 _BATCH_SIZES = (4, 3, 4)  # largest states, messages, actions in dominance_batch
 _Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) matrices of a candidate
 
@@ -274,16 +275,20 @@ def pure_profile(g: Game, sender_map: Sequence[int], receiver_map: Sequence[int]
     return p
 
 
-def _all_receiver_maps(g: Game) -> tuple[np.ndarray, np.ndarray]:
-    """Every pure receiver map, in itertools.product order, and the sender
-    values under each: sv[r, s, m] = payoff[s, maps[r, m]].
+def _receiver_map_blocks(g: Game) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pure receiver map, in itertools.product order and in blocks of
+    up to _RECEIVER_BLOCK, with the sender values under each map of the
+    block: sv[r, s, m] = payoff[s, maps[r, m]].
 
-    This equals _sender_values of the one-hot receiver exactly: that
-    product only adds exact zeros to the picked payoff, which turns a
-    -0.0 into 0.0, as adding 0.0 does here.
+    The blocks are made as they are read, so a caller that stops early
+    never builds the rest. sv equals _sender_values of the one-hot receiver
+    exactly: that product only adds exact zeros to the picked payoff, which
+    turns a -0.0 into 0.0, as adding 0.0 does here.
     """
-    maps = np.array(list(itertools.product(range(g.n_actions), repeat=g.n_messages)))
-    return maps, np.moveaxis(g.payoff[:, maps], 0, 1) + 0.0
+    product = itertools.product(range(g.n_actions), repeat=g.n_messages)
+    while block := list(itertools.islice(product, _RECEIVER_BLOCK)):
+        maps = np.array(block)
+        yield maps, np.moveaxis(g.payoff[:, maps], 0, 1) + 0.0
 
 
 def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
@@ -298,40 +303,39 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     nominal = g.n_messages ** g.n_states * g.n_actions ** g.n_messages
     if nominal > budget:
         raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
-    maps, sv = _all_receiver_maps(g)
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     states = np.arange(g.n_states)
-    # positive-prior states must send within tol of their best value;
-    # zero-prior states are unconstrained
-    allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
-    counts = allowed.sum(axis=-1)  # (receiver maps, states)
-    picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
-    sizes = counts.prod(axis=-1)  # sender maps per receiver map
     weighted = g.prior[:, None] * g.payoff
-    found_r, found_s = [], []
-    # receiver maps in blocks of about _ENUMERATION_BLOCK sender maps
-    cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // _ENUMERATION_BLOCK)) + 1
-    for block in np.split(np.arange(len(maps)), cuts):
-        r = np.repeat(block, sizes[block])
-        # each receiver map's sender maps in itertools.product order: a
-        # mixed-radix count over the allowed sets, the last state fastest
-        rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes[block]) - sizes[block], sizes[block])
-        digits = np.empty((len(r), g.n_states), dtype=int)
-        for s in reversed(states):
-            rank, digits[:, s] = np.divmod(rank, counts[r, s])
-        senders = picks[r[:, None], states, digits]
-        # the receiver must answer each used message with a Bayes best action;
-        # values are unnormalised, so tol scales with use and unused messages
-        # (all values 0) never fail
-        sent = np.swapaxes(_one_hot(senders, g.n_messages), 1, 2)  # (maps, messages, states)
-        values = sent @ weighted
-        answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
-        ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
-        found_r.append(r[ok])
-        found_s.append(senders[ok])
-    r, senders = np.concatenate(found_r), np.concatenate(found_s)
-    # a running sum adds the states in order, as a plain sum would
-    payoffs = np.cumsum(g.prior * sv[r[:, None], states, senders], axis=1)[:, -1]
-    receivers = maps[r]
+    for maps, sv in _receiver_map_blocks(g):
+        # positive-prior states must send within tol of their best value;
+        # zero-prior states are unconstrained
+        allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
+        counts = allowed.sum(axis=-1)  # (receiver maps, states)
+        picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
+        sizes = counts.prod(axis=-1)  # sender maps per receiver map
+        cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // _SENDER_BLOCK)) + 1
+        for block in np.split(np.arange(len(maps)), cuts):
+            r = np.repeat(block, sizes[block])
+            # each receiver map's sender maps in itertools.product order: a
+            # mixed-radix count over the allowed sets, the last state fastest
+            rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes[block]) - sizes[block],
+                                                 sizes[block])
+            digits = np.empty((len(r), g.n_states), dtype=int)
+            for s in reversed(states):
+                rank, digits[:, s] = np.divmod(rank, counts[r, s])
+            senders = picks[r[:, None], states, digits]
+            # the receiver must answer each used message with a Bayes best
+            # action; values are unnormalised, so tol scales with use and
+            # unused messages (all values 0) never fail
+            sent = np.swapaxes(_one_hot(senders, g.n_messages), 1, 2)  # (maps, messages, states)
+            values = sent @ weighted
+            answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
+            ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
+            r, senders = r[ok], senders[ok]
+            # a running sum adds the states in order, as a plain sum would
+            payoffs = np.cumsum(g.prior * sv[r[:, None], states, senders], axis=1)[:, -1]
+            found.append((senders, maps[r], payoffs))
+    senders, receivers, payoffs = map(np.concatenate, zip(*found))
     order = np.lexsort((*receivers.T[::-1], *senders.T[::-1], -payoffs))
     # boolean one-hot rows: _profiles makes the float copies it keeps
     profiles = _profiles(np.eye(g.n_messages, dtype=bool)[senders[order]],
@@ -374,20 +378,21 @@ def _support_enumeration_candidates(g: Game) -> Iterable[_Pair]:
     two skewed weightings, paired both with that receiver and with the
     exact Bayes reply to the mixed sender.
     """
-    maps, sv = _all_receiver_maps(g)
-    tied = _near_best(sv, _TIE_TOL)
-    counts = tied.sum(axis=-1, keepdims=True)
-    mixing = np.flatnonzero(np.any(counts != 1, axis=(1, 2)))
-    tied, counts = tied[mixing, None], counts[mixing, None]  # (mixing maps, 1, S, ...)
-    # a two-way tie gets weight w on its lower message; wider ties are uniform
-    lower = _one_hot(tied.argmax(axis=-1), g.n_messages) == 1
-    w = np.array([0.5, 0.25, 0.75])[:, None, None]
-    senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
-    replies = _receiver_best_reply(g, senders)  # (mixing maps, weightings, M, A)
-    for weighted, receiver, replied in zip(senders, _one_hot(maps[mixing], g.n_actions), replies):
-        for sender, reply in zip(weighted, replied):
-            yield sender, receiver
-            yield sender, reply
+    for maps, sv in _receiver_map_blocks(g):
+        tied = _near_best(sv, _TIE_TOL)
+        counts = tied.sum(axis=-1, keepdims=True)
+        mixing = np.flatnonzero(np.any(counts != 1, axis=(1, 2)))
+        tied, counts = tied[mixing, None], counts[mixing, None]  # (mixing maps, 1, S, ...)
+        # a two-way tie gets weight w on its lower message; wider ties are uniform
+        lower = _one_hot(tied.argmax(axis=-1), g.n_messages) == 1
+        w = np.array([0.5, 0.25, 0.75])[:, None, None]
+        senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
+        replies = _receiver_best_reply(g, senders)  # (mixing maps, weightings, M, A)
+        for weighted, receiver, replied in zip(senders, _one_hot(maps[mixing], g.n_actions),
+                                               replies):
+            for sender, reply in zip(weighted, replied):
+                yield sender, receiver
+                yield sender, reply
 
 
 def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterable[_Pair]:

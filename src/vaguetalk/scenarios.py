@@ -39,6 +39,7 @@ from .speaker import Observation, best_index, utility_table
 __all__ = [
     "Scenario",
     "default_t_priors",
+    "default_t_prior_sizes",
     "attendance_scenario",
     "tall_uniform_scenario",
     "tall_gaussian_scenario",
@@ -71,23 +72,23 @@ GAUSSIAN_MEAN = 175.0
 GAUSSIAN_SD = 10.0
 
 
-def _default_width_count(grid) -> int:
-    """How many halo widths default_t_priors gives "around"."""
+def default_t_prior_sizes(grid) -> dict[str, int]:
+    """How many parameter values each default t prior has, known before
+    any is built: halo widths 0..floor(span/2) at the grid step for
+    "around", one threshold per grid point."""
     g = np.asarray(grid, dtype=float)
-    if g.size == 1:
-        return 1
-    return math.floor((g[-1] - g[0]) / (2 * float(g[1] - g[0]))) + 1
+    widths = 1 if g.size == 1 else math.floor((g[-1] - g[0]) / (2 * float(g[1] - g[0]))) + 1
+    return {"around": widths, "threshold": g.size}
 
 
 def default_t_priors(grid) -> dict[str, Dist]:
-    """Uniform parameter priors: halo widths 0..floor(span/2) at the grid
-    step for "around", thresholds over the grid itself for tall/short."""
+    """Uniform parameter priors of default_t_prior_sizes: halo widths at
+    the grid step for "around", thresholds over the grid itself for
+    tall/short."""
     g = np.asarray(grid, dtype=float)
-    if g.size == 1:
-        return {"around": uniform([0.0]), "threshold": uniform(g)}
-    step = float(g[1] - g[0])
+    step = float(g[1] - g[0]) if g.size > 1 else 0.0
     return {
-        "around": uniform(step * np.arange(_default_width_count(g))),
+        "around": uniform(step * np.arange(default_t_prior_sizes(g)["around"])),
         "threshold": uniform(g),
     }
 

@@ -20,7 +20,8 @@ from .games import BudgetExceeded, Game, MixedProfile
 from .messages import (Message, MessageParseError, message_from_json,
                        precise_alternatives, vague_alternatives)
 from .prob import Dist, uniform
-from .scenarios import LISTENER_MODES, Scenario, _default_width_count, default_t_priors
+from .scenarios import (LISTENER_MODES, Scenario, default_t_prior_sizes,
+                        default_t_priors)
 from .speaker import Observation
 
 __all__ = ["SchemaError", "load_scenario", "scenario_from_obj",
@@ -123,7 +124,7 @@ def _parse_t_priors(obj: Any, grid: np.ndarray) -> dict[str, Dist]:
         given[kind] = _parse_dist(spec.get("probs", "uniform"), support, f"{where}.probs")
     # the defaults are as long as the grid, or half of it: check every
     # prior's size before they are built
-    sizes = {"around": _default_width_count(grid), "threshold": grid.size}
+    sizes = default_t_prior_sizes(grid)
     for kind, default in sizes.items():
         n = len(given[kind]) if kind in given else default
         _check_budget(grid.size * n,

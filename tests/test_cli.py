@@ -213,6 +213,21 @@ class TestGame:
         assert report["n_verified"] >= 1
         assert report["best_pure_payoff"] == pytest.approx(2 / 3, abs=1e-9)
 
+    def test_dominance_on_a_wide_game_exits_5(self, capsys, tmp_path):
+        # 10^2 * 10^10 pure profiles: the candidates stop at the cap after a
+        # few receiver maps, and enumeration refuses the size
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "states": ["a", "b"], "prior": [0.5, 0.5],
+            "messages": [f"m{i}" for i in range(10)],
+            "actions": [f"x{i}" for i in range(10)],
+            "payoff": [[1] + [0] * 9, [0, 1] + [0] * 8],
+        }))
+        code, out, err = run(capsys, "game", str(path), "dominance")
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
     def test_random_batch(self, capsys):
         code, out, _ = run(capsys, "game", "random", "dominance",
                            "--n", "5", "--seed", "7")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,23 @@ class TestDominance:
         b = babbling_profile(g)
         assert any(np.allclose(c.sender, b.sender)
                    and np.allclose(c.receiver, b.receiver) for c in cands)
+
+    def test_candidates_stop_building_receiver_maps_at_the_cap(self):
+        # in a 2 x 6 x 6 game every receiver map that sends two messages to
+        # one action ties, so the 200-candidate cap comes within the first
+        # block of receiver maps; building all 6^6 of them and their
+        # weightings first peaked near 100 MB
+        g = Game(states=("a", "b"), prior=np.array([0.5, 0.5]),
+                 messages=tuple("m%d" % i for i in range(6)),
+                 actions=tuple("x%d" % i for i in range(6)), payoff=np.eye(2, 6))
+        tracemalloc.start()
+        try:
+            cands = generate_mixed_candidates(g, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cands) == 200
+        assert peak < 10e6
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
