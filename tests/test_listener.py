@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exact,
-                       ExplicitJointPrior, IndependentPrior, MissingParamPrior,
+                       ExplicitJointPrior, IndependentPrior, Message, MissingParamPrior,
                        NonUniformPreconditionViolated, Threshold, ZeroPosterior,
                        around_closed_form, closed_form_posterior, denotation,
                        joint_enumeration_posterior, literal_interpreter,
-                       literal_listener_strategy, literal_update, tall_closed_form,
-                       uniform)
+                       literal_listener_strategy, literal_update, precise_alternatives,
+                       tall_closed_form, uniform, vague_alternatives)
+from vaguetalk.listener import _literal_rows
 
 GRID = np.arange(0.0, 81.0, 10.0)
 
@@ -329,6 +331,17 @@ def check_literal_rows(prior, menu, oracle):
         assert literal_update(prior, m).probs.tobytes() == row.tobytes()
 
 
+class Mystery(Message):
+    """A vague message kind no denotation knows."""
+
+    vague = True
+    param_kind = "around"
+
+    @property
+    def label(self) -> str:
+        return "mystery"
+
+
 class TestLiteralRows:
     """The one L0 kernel against the plain-Python enumeration oracles."""
 
@@ -356,3 +369,126 @@ class TestLiteralRows:
             literal_listener_strategy(prior, [Exact(2.0), Exact(0.0), TALL])
         with pytest.raises(MissingParamPrior, match="'threshold'"):
             literal_listener_strategy(prior, [Exact(2.0), TALL, Exact(0.0)])
+
+    def test_explicit_joint_dead_precise_and_other_kind_in_menu_order(self):
+        joint = ExplicitJointPrior([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.5, 0.5]], "around")
+        with pytest.raises(ZeroPosterior, match="'exactly 0' is false everywhere"):
+            literal_listener_strategy(joint, [Around(1.0), Exact(0.0), TALL])
+        with pytest.raises(MissingParamPrior, match="message needs 'threshold'"):
+            literal_listener_strategy(joint, [Around(1.0), TALL, Exact(0.0)])
+
+    def test_unknown_message_type_after_earlier_dead_message(self):
+        prior = IndependentPrior(Dist([0.0, 1.0], [0.0, 1.0]), {"around": uniform([0.0])})
+        with pytest.raises(TypeError, match="^unknown message type Mystery$"):
+            literal_listener_strategy(prior, [Exact(1.0), Mystery(), Exact(0.0)])
+        with pytest.raises(ZeroPosterior, match="'at most 0' is false everywhere"):
+            literal_listener_strategy(prior, [Exact(1.0), AtMost(0.0), Mystery()])
+
+    @given(independent_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_full_precise_and_around_menu_matches_joint_enumeration(self, case, data):
+        prior, _ = case
+        grid = prior.x.support
+        menu = precise_alternatives(grid) + vague_alternatives(grid, "around")
+        menu = data.draw(st.permutations(menu))
+
+        def oracle(m):
+            t = prior.t_priors["around"] if m.vague else uniform([0.0])
+            return joint_enumeration_posterior(prior.x, t, m).probs
+
+        check_literal_rows(prior, menu, oracle)
+
+
+def _seeded_dist(rng, support, zero_share):
+    """Weights on support with about zero_share of them zero, never all."""
+    w = rng.random(support.size) * (rng.random(support.size) >= zero_share)
+    if not w.any():
+        w[rng.integers(support.size)] = 1.0
+    return Dist(support, w / w.sum())
+
+
+def _seeded_points(rng, lo, hi, scale, size):
+    return scale * np.sort(rng.choice(np.arange(lo, hi + 1), size=size, replace=False)).astype(float)
+
+
+def _seeded_menu(rng, scale, size):
+    """All six message kinds, values on and off a [-5, 20] grid."""
+    def value():
+        return scale * (int(rng.integers(-8, 24)) + (0.5 if rng.random() < 0.2 else 0.0))
+
+    makers = (lambda: Exact(value()), lambda: AtLeast(value()), lambda: AtMost(value()),
+              lambda: Between(*sorted((value(), value()))), lambda: Around(value()),
+              lambda: TALL if rng.random() < 0.5 else SHORT)
+    return [makers[rng.integers(len(makers))]() for _ in range(size)]
+
+
+def _seeded_case(rng):
+    """One (prior, menu): independent or explicit joint, zero cells, t priors
+    sometimes missing, menus of 1 to 300 messages."""
+    scale = float(rng.choice([1.0, 0.5, 2.5]))
+    grid = _seeded_points(rng, -5, 20, scale, int(rng.integers(1, 16)))
+    zero_share = float(rng.choice([0.0, 0.2, 0.5]))
+    size = int(rng.integers(1, 9)) if rng.random() < 0.6 else int(rng.integers(9, 301))
+    menu = _seeded_menu(rng, scale, size)
+    if rng.random() < 0.3:
+        kind = str(rng.choice(["around", "threshold"]))
+        ts = (_seeded_points(rng, 0, 8, scale, int(rng.integers(1, 6))) if kind == "around"
+              else _seeded_points(rng, -8, 24, scale, int(rng.integers(1, 9))))
+        joint = _seeded_dist(rng, np.arange(float(grid.size * ts.size)), zero_share).probs
+        return ExplicitJointPrior(grid, ts, joint.reshape(grid.size, ts.size), kind), menu
+    t_priors = {}
+    if rng.random() < 0.8:
+        t_priors["around"] = _seeded_dist(
+            rng, _seeded_points(rng, 0, 8, scale, int(rng.integers(1, 6))), zero_share)
+    if rng.random() < 0.8:
+        t_priors["threshold"] = _seeded_dist(
+            rng, _seeded_points(rng, -8, 24, scale, int(rng.integers(1, 9))), zero_share)
+    return IndependentPrior(_seeded_dist(rng, grid, zero_share), t_priors), menu
+
+
+def _wide_case(rng, n):
+    """The precise + around + threshold menu on an n-point grid, non-uniform priors."""
+    grid = np.arange(float(n))
+    x = _seeded_dist(rng, grid, 0.0)
+    t_priors = {"around": _seeded_dist(rng, np.arange(float(n // 2 + 1)), 0.1),
+                "threshold": _seeded_dist(rng, grid, 0.1)}
+    menu = (precise_alternatives(grid) + vague_alternatives(grid, "around")
+            + vague_alternatives(grid, "threshold"))
+    return IndependentPrior(x, t_priors), menu
+
+
+def _update_row(prior, m):
+    post = literal_update(prior, m)
+    return post.support, post.probs[None, :]
+
+
+def _pin(h, call):
+    """Feed the bytes of call()'s (grid, matrix), or its exception's type and text."""
+    try:
+        grid, matrix = call()
+    except Exception as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return False
+    h.update(grid.tobytes() + matrix.tobytes() + repr(matrix.shape).encode())
+    return True
+
+
+class TestPinnedL0:
+    # sha256 of the L0 matrices (or the exception raised) of 600 seeded
+    # cases, of each case's menu with its failing messages dropped, and of
+    # the first five one-message updates; any change to a byte of L0 or to
+    # which message fails first shows here
+    DIGEST = "d0775f3985003e0740c6b32b432015a13fa7c2a54e283ca0ab90a29d5262d262"
+
+    def test_l0_output_is_pinned(self):
+        rng = np.random.default_rng(20231)
+        cases = [_seeded_case(rng) for _ in range(596)]
+        cases += [_wide_case(rng, n) for n in (9, 9, 41, 41)]
+        h = hashlib.sha256()
+        for prior, menu in cases:
+            for m in menu[:5]:
+                _pin(h, lambda: _update_row(prior, m))
+            if not _pin(h, lambda: _literal_rows(prior, menu)):
+                alive = [m for m in menu if _pin(hashlib.sha256(), lambda: _literal_rows(prior, (m,)))]
+                _pin(h, lambda: _literal_rows(prior, alive))
+        assert h.hexdigest() == self.DIGEST
