@@ -129,6 +129,16 @@ def speaker_response(L: ListenerStrategy, observations: Sequence[Observation],
     return SpeakerStrategy(tuple(o.id for o in observations), rows)
 
 
+def _observation_weights(weights: Sequence[float],
+                         observations: Sequence[Observation]) -> np.ndarray:
+    """One finite, nonnegative weight per observation, scaled to sum to 1."""
+    w = np.asarray(weights, dtype=float)
+    if (w.shape != (len(observations),) or not np.all(np.isfinite(w))
+            or np.any(w < 0) or not np.any(w > 0)):
+        raise ValueError("weights must be finite and nonnegative with positive total")
+    return w / w.sum()
+
+
 def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
                       weights: Sequence[float],
                       fallback: ListenerStrategy | None) -> ListenerStrategy:
@@ -138,10 +148,7 @@ def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
     normalized. Rows with zero total use the matching fallback row, or
     raise DeadMessageNoFallback when no fallback is given.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(observations),) or np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weights must be nonnegative with positive total")
-    w = w / w.sum()
+    w = _observation_weights(weights, observations)
     grid = observations[0].dist.support
     p_obs = np.stack([o.dist.probs for o in observations])  # (n_obs, n_grid)
     raw = S.matrix.T @ (w[:, None] * p_obs)  # (n_msgs, n_grid)
@@ -214,8 +221,7 @@ def expected_utility(S: SpeakerStrategy, L: ListenerStrategy,
     Unsent messages contribute nothing even at -inf utility (0 * -inf
     reads as 0 here, matching the expectation over the sent lottery).
     """
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
+    w = _observation_weights(weights, observations)
     total = 0.0
     for i, j in zip(*np.nonzero(S.matrix > 0)):
         u = -kl_divergence(observations[i].dist, L.row(j))

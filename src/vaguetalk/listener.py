@@ -20,12 +20,14 @@ against an actual prior before using them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .messages import Around, Message, Threshold, denotation_vector
+from .messages import (Around, AtLeast, AtMost, Between, Exact, Message, Threshold,
+                       denotation_vector)
 from .prob import Dist, normalize
 
 __all__ = [
@@ -117,11 +119,36 @@ class ExplicitJointPrior:
 JointPrior = Union[IndependentPrior, ExplicitJointPrior]
 
 
+#: (lo, hi) bounds of each precise message kind; x is true iff lo <= x <= hi
+_BOUNDS: dict[type, Callable[[Message], tuple[float, float]]] = {
+    Exact: lambda m: (m.value, m.value),
+    Between: lambda m: (m.lo, m.hi),
+    AtLeast: lambda m: (m.lo, math.inf),
+    AtMost: lambda m: (-math.inf, m.hi),
+}
+
+
+def _message_weights(prior: JointPrior, m: Message, xs: np.ndarray,
+                     x_probs: np.ndarray) -> np.ndarray:
+    """Unnormalised posterior weights of one message that has no (lo, hi) bounds."""
+    if not m.vague:
+        return x_probs * denotation_vector(m, xs)
+    if isinstance(prior, IndependentPrior):
+        t = prior.t_prior_for(m)
+        return x_probs * (denotation_vector(m, xs[:, None], t.support) @ t.probs)
+    if m.param_kind == prior.param_kind:
+        return (prior.joint * denotation_vector(m, xs[:, None], prior.t_support)).sum(axis=1)
+    raise MissingParamPrior(f"joint prior is over kind {prior.param_kind!r}, "
+                            f"message needs {m.param_kind!r}")
+
+
 def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:
     """The x grid and the L0 matrix, whose row j is the posterior after menu[j].
 
-    Each weight row is checked as it is built, so the first failing message
-    in menu order raises; then all rows are normalised at once.
+    Precise rows are one (lo, hi) mask over the grid for the whole menu;
+    every other row is built on its own. The first failing message in menu
+    order raises, so an error met at message j waits until the rows before
+    it are known to be alive. Then all rows are normalised at once.
     """
     if isinstance(prior, IndependentPrior):
         xs, x_probs = prior.x.support, prior.x.probs
@@ -129,23 +156,37 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
         xs, x_probs = prior.x_support, prior.joint.sum(axis=1)
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
-    rows = []
-    for m in menu:
-        if not m.vague:
-            w = x_probs * denotation_vector(m, xs)
-        elif isinstance(prior, IndependentPrior):
-            t = prior.t_prior_for(m)
-            w = x_probs * (denotation_vector(m, xs[:, None], t.support) @ t.probs)
-        elif m.param_kind == prior.param_kind:
-            w = (prior.joint * denotation_vector(m, xs[:, None], prior.t_support)).sum(axis=1)
+    lows, highs, other, failure = [], [], {}, None
+    for j, m in enumerate(menu):
+        bounds = _BOUNDS.get(type(m))
+        if bounds is not None:
+            lo, hi = bounds(m)
         else:
-            raise MissingParamPrior(f"joint prior is over kind {prior.param_kind!r}, "
-                                    f"message needs {m.param_kind!r}")
-        if not np.any(w > 0):
-            raise ZeroPosterior(f"{m.label!r} is false everywhere under the prior")
-        rows.append(w)
-    weights = np.array(rows).reshape(-1, xs.size)
-    return xs, weights / weights.sum(axis=1, keepdims=True)
+            try:
+                other[j] = _message_weights(prior, m, xs, x_probs)
+            except Exception as exc:  # raised below, unless an earlier row is dead
+                failure = exc
+                break
+            lo, hi = math.inf, -math.inf  # an empty mask, overwritten by other[j]
+        lows.append(lo)
+        highs.append(hi)
+    if other and len(other) == len(lows):  # no precise row, so no mask
+        weights = np.array(list(other.values()))
+    else:
+        lo = np.array(lows, dtype=float)[:, None]
+        hi = np.array(highs, dtype=float)[:, None]
+        weights = x_probs * ((xs >= lo) & (xs <= hi))
+        for j, w in other.items():
+            weights[j] = w
+    # rows are nonnegative, so a row sums to 0 exactly when no entry is positive
+    totals = weights.sum(axis=1, keepdims=True)
+    if not totals.all():
+        dead = int(np.argmin(totals))
+        raise ZeroPosterior(f"{menu[dead].label!r} is false everywhere under the prior")
+    if failure is not None:
+        raise failure
+    weights /= totals
+    return xs, weights
 
 
 def literal_update(prior: JointPrior, m: Message) -> Dist:

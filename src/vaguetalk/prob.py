@@ -194,13 +194,17 @@ def kl_divergence(p: Dist, q: Dist) -> float:
 def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``KL(p || q)`` for every row ``q`` of ``rows``, as in ``kl_divergence``.
 
-    The masked matrix is made C-contiguous so each row sums as it would alone.
+    The masked matrix is made C-contiguous so each row sums as it would alone;
+    the terms are computed in one buffer.
     """
     mask = p > 0
     pm = p[mask]
     qm = np.ascontiguousarray(rows[:, mask])
     with np.errstate(divide="ignore"):
-        kl = np.sum(pm * np.log(pm / qm), axis=1)
+        terms = np.divide(pm, qm)
+        np.log(terms, out=terms)
+    terms *= pm
+    kl = terms.sum(axis=1)
     kl[np.any(qm == 0, axis=1)] = INF
     return kl
 

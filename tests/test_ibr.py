@@ -235,6 +235,17 @@ class TestEU:
         # message 1 would be -inf but is never sent
         assert expected_utility(S, L, [o], [1.0]) == 0.0
 
+    @pytest.mark.parametrize("weights", [[0.0], [-1.0], [1.0, 1.0], [np.nan], [np.inf]])
+    def test_bad_weights_rejected(self, weights):
+        grid = np.arange(2.0)
+        o = Observation("a", Dist(grid, [0.5, 0.5]))
+        S = SpeakerStrategy(("a",), np.array([[1.0]]))
+        L = ListenerStrategy(grid, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="nonnegative with positive total"):
+            expected_utility(S, L, [o], weights)
+        with pytest.raises(ValueError, match="nonnegative with positive total"):
+            listener_response(S, [o], weights, None)
+
 
 class TestFixedPointCheck:
     def test_true_fixed_point_passes(self, setup):
