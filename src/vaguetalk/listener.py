@@ -164,7 +164,7 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
         else:
             try:
                 other[j] = _message_weights(prior, m, xs, x_probs)
-            except Exception as exc:  # raised below, unless an earlier row is dead
+            except (TypeError, ValueError) as exc:  # raised below unless an earlier row is dead
                 failure = exc
                 break
             lo, hi = math.inf, -math.inf  # an empty mask, overwritten by other[j]

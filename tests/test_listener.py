@@ -408,7 +408,8 @@ def _seeded_dist(rng, support, zero_share):
 
 
 def _seeded_points(rng, lo, hi, scale, size):
-    return scale * np.sort(rng.choice(np.arange(lo, hi + 1), size=size, replace=False)).astype(float)
+    values = rng.choice(np.arange(lo, hi + 1), size=size, replace=False)
+    return scale * np.sort(values).astype(float)
 
 
 def _seeded_menu(rng, scale, size):
@@ -489,6 +490,7 @@ class TestPinnedL0:
             for m in menu[:5]:
                 _pin(h, lambda: _update_row(prior, m))
             if not _pin(h, lambda: _literal_rows(prior, menu)):
-                alive = [m for m in menu if _pin(hashlib.sha256(), lambda: _literal_rows(prior, (m,)))]
+                alive = [m for m in menu
+                         if _pin(hashlib.sha256(), lambda: _literal_rows(prior, (m,)))]
                 _pin(h, lambda: _literal_rows(prior, alive))
         assert h.hexdigest() == self.DIGEST
