@@ -119,7 +119,8 @@ class ExplicitJointPrior:
 JointPrior = Union[IndependentPrior, ExplicitJointPrior]
 
 
-#: (lo, hi) bounds of each precise message kind; x is true iff lo <= x <= hi
+#: (lo, hi) bounds of each precise message kind, x true iff lo <= x <= hi; keyed
+#: by exact type, so a subclass takes the per-message route
 _BOUNDS: dict[type, Callable[[Message], tuple[float, float]]] = {
     Exact: lambda m: (m.value, m.value),
     Between: lambda m: (m.lo, m.hi),
