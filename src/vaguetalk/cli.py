@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -267,13 +268,15 @@ def cmd_game(args: argparse.Namespace) -> int:
     game, profiles = schema.load_game(args.game)
     if args.sub == "enumerate":
         found = games.enumerate_pure_equilibria(game, budget=args.budget)
+        equilibria = []
+        for p, pay in found:
+            sender_map, receiver_map = _profile_maps(p)
+            equilibria.append({"sender_map": sender_map, "receiver_map": receiver_map,
+                               "payoff": pay})
         _emit_json({
             "count": len(found),
             "best_payoff": found[0][1] if found else None,
-            "equilibria": [
-                {"sender_map": _profile_maps(p)[0],
-                 "receiver_map": _profile_maps(p)[1],
-                 "payoff": pay} for p, pay in found],
+            "equilibria": equilibria,
         })
     elif args.sub == "check":
         profile = _resolve_profile(args, game, profiles)
@@ -431,9 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(vs_seed: str | None) -> argparse.ArgumentParser:
+    """build_parser() for one value of VS_SEED, the only setting it reads, so a
+    changed VS_SEED still takes effect; parse_args leaves a parser unchanged,
+    so calls with the same value share one."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get("VS_SEED")).parse_args(argv)
     try:
         return args.func(args)
     except (schema.SchemaError, MessageParseError) as e:

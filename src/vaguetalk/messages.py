@@ -164,6 +164,15 @@ TALL = Threshold(">=")
 SHORT = Threshold("<")
 
 
+def _check_vague(m: Message, t) -> None:
+    """Raise unless ``m`` is a known vague kind given its parameter ``t``;
+    the type is checked first, so an unknown kind is never a missing parameter."""
+    if not isinstance(m, (Around, Threshold)):
+        raise TypeError(f"unknown message type {type(m).__name__}")
+    if t is None:
+        raise MissingParameter(f"{m.label!r} needs its open parameter")
+
+
 def denotation(m: Message, x: float, t: float | None = None) -> bool:
     """Truth value of message ``m`` at world value ``x`` (parameter ``t``).
 
@@ -178,13 +187,10 @@ def denotation(m: Message, x: float, t: float | None = None) -> bool:
         return x >= m.lo
     if isinstance(m, AtMost):
         return x <= m.hi
-    if t is None:
-        raise MissingParameter(f"{m.label!r} needs its open parameter")
+    _check_vague(m, t)
     if isinstance(m, Around):
         return abs(x - m.center) <= t
-    if isinstance(m, Threshold):
-        return x >= t if m.polarity == ">=" else x < t
-    raise TypeError(f"unknown message type {type(m).__name__}")
+    return x >= t if m.polarity == ">=" else x < t
 
 
 def denotation_vector(m: Message, grid, t=None) -> np.ndarray:
@@ -203,13 +209,10 @@ def denotation_vector(m: Message, grid, t=None) -> np.ndarray:
         return g >= m.lo
     if isinstance(m, AtMost):
         return g <= m.hi
-    if t is None:
-        raise MissingParameter(f"{m.label!r} needs its open parameter")
+    _check_vague(m, t)
     if isinstance(m, Around):
         return np.abs(g - m.center) <= t
-    if isinstance(m, Threshold):
-        return g >= t if m.polarity == ">=" else g < t
-    raise TypeError(f"unknown message type {type(m).__name__}")
+    return g >= t if m.polarity == ">=" else g < t
 
 
 def precise_alternatives(grid) -> list[Message]:

@@ -391,19 +391,22 @@ def _plain_kl(p: Sequence[float], q: Sequence[float]) -> float:
 
 
 def _verify_witness(menu: Sequence[Message], oracle: Sequence[Sequence[float]],
-                    p_o: Sequence[float], margin: float) -> bool:
-    """Independent re-check: plain-Python KLs against the oracle posteriors."""
-    best_vague = -math.inf
-    best_precise = -math.inf
+                    p_o: Sequence[float], best_vague: float, best_precise: float) -> bool:
+    """Independent re-check: plain-Python KLs against the oracle posteriors
+    must give the reported best vague and best precise utilities."""
+    p = [float(v) for v in p_o]
+    oracle_vague = -math.inf
+    oracle_precise = -math.inf
     for m, post in zip(menu, oracle):
-        u = -_plain_kl(list(p_o), post)
+        u = -_plain_kl(p, post)
         if m.vague:
-            best_vague = max(best_vague, u)
+            oracle_vague = max(oracle_vague, u)
         else:
-            best_precise = max(best_precise, u)
-    if not best_vague > best_precise:
+            oracle_precise = max(oracle_precise, u)
+    if not oracle_vague > oracle_precise:
         return False
-    return abs((best_vague - best_precise) - margin) < 1e-9
+    return (abs(oracle_vague - best_vague) < 1e-9 and abs(oracle_precise - best_precise) < 1e-9
+            and abs((oracle_vague - oracle_precise) - (best_vague - best_precise)) < 1e-9)
 
 
 def _observation_family(kind: str, family: str, grid: np.ndarray,
@@ -429,7 +432,7 @@ def _observation_family(kind: str, family: str, grid: np.ndarray,
             base = np.maximum(0.0, width - np.abs(idx - c)) ** power
             noise = rng.uniform(0.0, 0.02, n)
             out.append((base + noise) / (base + noise).sum())
-    elif kind == "threshold":
+    else:  # "threshold"; optimality_search has checked the kind
         out.append(np.array(P_O_TALL))
         for i in range(1, n_samples):
             rng = np.random.default_rng([seed, i])
@@ -438,9 +441,28 @@ def _observation_family(kind: str, family: str, grid: np.ndarray,
             base = np.exp(-0.5 * ((idx - c) / sd) ** 2)
             noise = rng.uniform(0.0, 0.01, n)
             out.append((base + noise) / (base + noise).sum())
-    else:
-        raise ValueError(f"unknown vague kind {kind!r}")
     return out
+
+
+@functools.cache
+def _search_setup(kind: str) -> tuple[np.ndarray, tuple[Message, ...], np.ndarray,
+                                      tuple[tuple[float, ...], ...], np.ndarray]:
+    """The grid, menu, L0 matrix, plain-Python oracle rows and vague mask of
+    one kind's search. None of them depends on the family or the seed, so
+    each kind builds them once per process; the arrays are read-only."""
+    # a view, so that freezing it below leaves the public grid constant as it was
+    grid = (ATTENDANCE_GRID if kind == "around" else HEIGHT_GRID).view()
+    menu = tuple(precise_alternatives(grid)) + tuple(vague_alternatives(grid, kind))
+    x_prior, t_priors = uniform(grid), default_t_priors(grid)
+    _, L0 = _literal_rows(IndependentPrior(x_prior, t_priors), menu)
+    # plain-Python posteriors for _verify_witness; they do not depend on the witness
+    t_priors = {None: uniform([0.0]), **t_priors}
+    oracle = tuple(tuple(float(v) for v in joint_enumeration_posterior(
+        x_prior, t_priors[m.param_kind], m).probs) for m in menu)
+    vague_mask = np.array([m.vague for m in menu])
+    for a in (grid, L0, vague_mask):
+        a.setflags(write=False)
+    return grid, menu, L0, oracle, vague_mask
 
 
 def optimality_search(kind: str = "around", family: str = "default",
@@ -452,24 +474,12 @@ def optimality_search(kind: str = "around", family: str = "default",
     re-verified through the plain-Python enumeration route; an empty list
     is a legitimate outcome (point-mass families never produce one).
     """
-    if kind == "around":
-        grid = ATTENDANCE_GRID
-        menu = tuple(precise_alternatives(grid)) + tuple(vague_alternatives(grid, "around"))
-    elif kind == "threshold":
-        grid = HEIGHT_GRID
-        menu = tuple(precise_alternatives(grid)) + tuple(vague_alternatives(grid, "threshold"))
-    else:
+    if kind not in ("around", "threshold"):
         raise ValueError(f"unknown vague kind {kind!r}")
+    grid, menu, L0, oracle, vague_mask = _search_setup(kind)
     if family == "default":
         family = "tent" if kind == "around" else "peaked"
     shapes = _observation_family(kind, family, grid, n_samples, seed)
-    x_prior, t_priors = uniform(grid), default_t_priors(grid)
-    _, L0 = _literal_rows(IndependentPrior(x_prior, t_priors), menu)
-    # plain-Python posteriors for _verify_witness; they do not depend on the witness
-    t_priors = {None: uniform([0.0]), **t_priors}
-    oracle = [[float(v) for v in joint_enumeration_posterior(
-        x_prior, t_priors[m.param_kind], m).probs] for m in menu]
-    vague_mask = np.array([m.vague for m in menu])
     witnesses = []
     for i, probs in enumerate(shapes):
         u = -_kl_rows(probs, L0)
@@ -480,7 +490,7 @@ def optimality_search(kind: str = "around", family: str = "default",
         margin = best_vague - best_precise
         vague_idx = int(np.flatnonzero(vague_mask & (u == best_vague))[0])
         precise_idx = int(np.flatnonzero(~vague_mask & (u == best_precise))[0])
-        if not _verify_witness(menu, oracle, probs, margin):
+        if not _verify_witness(menu, oracle, probs, best_vague, best_precise):
             raise AssertionError(
                 f"witness {i} failed independent verification; routes disagree")
         witnesses.append({

@@ -5,8 +5,8 @@ import pathlib
 
 import pytest
 
-from vaguetalk import games
-from vaguetalk.cli import main
+from vaguetalk import cli, games
+from vaguetalk.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 ATTENDANCE = str(DATA / "attendance.json")
@@ -432,3 +432,33 @@ class TestBadNumbers:
         monkeypatch.setattr(games, "enumerate_pure_equilibria", broken)
         with pytest.raises(KeyError):
             main(["game", HEIGHTS, "enumerate"])
+
+
+class TestParserReuse:
+    RANDOM = ("game", "random", "dominance", "--n", "1")
+
+    def test_vs_seed_is_read_at_each_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("VS_SEED", "9")
+        code, out, _ = run(capsys, *self.RANDOM)
+        assert code == 0 and json.loads(out)["seed"] == 9
+        monkeypatch.delenv("VS_SEED")
+        code, out, _ = run(capsys, *self.RANDOM)
+        assert code == 0 and json.loads(out)["seed"] == 0
+        monkeypatch.setenv("VS_SEED", "abc")
+        code, out, err = run(capsys, *self.RANDOM)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("vaguetalk game: error: argument --seed")
+        monkeypatch.setenv("VS_SEED", "3")
+        code, out, _ = run(capsys, *self.RANDOM)
+        assert code == 0 and json.loads(out)["seed"] == 3
+
+    def test_same_vs_seed_reuses_the_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("VS_SEED", "4")
+        run(capsys, *self.RANDOM)
+        hits = cli._parser.cache_info().hits
+        code, out, _ = run(capsys, *self.RANDOM)
+        assert code == 0 and json.loads(out)["seed"] == 4
+        assert cli._parser.cache_info().hits == hits + 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Exact,
-                       MessageParseError, MissingParameter, Threshold,
-                       denotation, denotation_vector, message_from_json,
-                       parse_message, precise_alternatives, vague_alternatives)
+                       IndependentPrior, Message, MessageParseError, MissingParameter,
+                       Threshold, denotation, denotation_vector, literal_update,
+                       message_from_json, parse_message, precise_alternatives, uniform,
+                       vague_alternatives)
 
 GRID = np.arange(0.0, 81.0, 10.0)
 
@@ -74,6 +75,31 @@ class TestDenotations:
             assert np.array_equal(truth, per_t)
             assert truth.tolist() == [[denotation(m, float(x), float(t)) for t in ts]
                                       for x in GRID]
+
+
+class Unheard(Message):
+    """A precise message kind no denotation knows."""
+
+    @property
+    def label(self) -> str:
+        return "unheard"
+
+
+class TestUnknownKind:
+    # the type is checked before the parameter, with or without a t
+    @pytest.mark.parametrize("t", [None, 40.0])
+    def test_denotation(self, t):
+        with pytest.raises(TypeError, match="^unknown message type Unheard$"):
+            denotation(Unheard(), 40.0, t)
+
+    @pytest.mark.parametrize("t", [None, GRID])
+    def test_denotation_vector(self, t):
+        with pytest.raises(TypeError, match="^unknown message type Unheard$"):
+            denotation_vector(Unheard(), GRID[:, None], t)
+
+    def test_literal_update(self):
+        with pytest.raises(TypeError, match="^unknown message type Unheard$"):
+            literal_update(IndependentPrior(uniform(GRID)), Unheard())
 
 
 class TestLabels:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaguetalk import scenarios
 from vaguetalk import (ATTENDANCE_GRID, HEIGHT_GRID, P_O_ATTENDANCE, P_O_TALL,
                        TALL, Around, Dist, Observation, Scenario,
                        attendance_scenario, concentration_pairs_ok,
@@ -211,6 +212,28 @@ class TestOptimalitySearch:
         for w in rep["witnesses"]:
             assert w["vague_utility"] - w["best_precise_utility"] == \
                 pytest.approx(w["margin"], abs=1e-12)
+
+
+    def test_cached_setup_still_verifies_every_witness(self, monkeypatch):
+        optimality_search("around", n_samples=5, seed=0)  # the setup is cached now
+        kl_rows = scenarios._kl_rows
+        monkeypatch.setattr(scenarios, "_kl_rows", lambda p, rows: kl_rows(p, rows) - 1e-6)
+        with pytest.raises(AssertionError,
+                           match="^witness 0 failed independent verification; routes disagree$"):
+            optimality_search("around", n_samples=5, seed=0)
+
+    def test_cached_setup_is_read_only(self):
+        grid, menu, L0, oracle, vague_mask = scenarios._search_setup("around")
+        for array, index in ((grid, 0), (L0, (0, 0)), (vague_mask, 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = 1
+        assert isinstance(menu, tuple) and isinstance(oracle, tuple)
+        assert all(isinstance(row, tuple) for row in oracle)
+
+    def test_unknown_kind(self):
+        for kind in ("nosuch", ["around"]):
+            with pytest.raises(ValueError, match="unknown vague kind"):
+                optimality_search(kind)
 
 
 class TestNamedDispatch:
