@@ -213,7 +213,6 @@ class TestOptimalitySearch:
             assert w["vague_utility"] - w["best_precise_utility"] == \
                 pytest.approx(w["margin"], abs=1e-12)
 
-
     def test_cached_setup_still_verifies_every_witness(self, monkeypatch):
         optimality_search("around", n_samples=5, seed=0)  # the setup is cached now
         kl_rows = scenarios._kl_rows
