@@ -70,21 +70,24 @@ def _positive(kind: type) -> Callable[[str], Any]:
 def _clean(value: Any) -> Any:
     """Make a report JSON-safe and byte-stable: 12 significant digits,
     non-finite floats as strings."""
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isfinite(x):
+            return float(f"{x:.12g}")
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        x = float(value)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return float(f"{x:.12g}")
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            cells = [float(f"{x:.12g}") for x in value.ravel().tolist()]
+            if value.ndim == 1:
+                return cells
+            return np.array(cells, dtype=object).reshape(value.shape).tolist()
+        return _clean(value.tolist())
     return value
 
 
@@ -189,8 +192,8 @@ def cmd_ibr(args: argparse.Namespace) -> int:
     for k, (S, L) in enumerate(trace.levels):
         levels.append({
             "level": k,
-            "speaker": None if S is None else [list(row) for row in S.matrix],
-            "listener": [list(row) for row in L.matrix],
+            "speaker": None if S is None else S.matrix,
+            "listener": L.matrix,
         })
     report: dict[str, Any] = {
         "menu": [m.label for m in trace.menu],

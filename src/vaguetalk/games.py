@@ -53,7 +53,8 @@ _TIE_TOL = 1e-12  # best-reply ties in the candidate generators
 _DYNAMICS = (6, 80, 0.5)  # random starts, damped steps per start, damping eta
 _MAX_CANDIDATES, _CANDIDATE_QUANTUM = 200, 1e-9  # kept candidates; dedupe rounding
 _RECEIVER_BLOCK = 256  # receiver maps per batch in the enumeration and support candidates
-_SENDER_BLOCK = 1024  # sender maps (about) checked per batch in enumerate_pure_equilibria
+_SENDER_BLOCK = 1024  # sender maps checked per batch in enumerate_pure_equilibria
+_RESULT_BUDGET = 100_000  # pure equilibria enumerate_pure_equilibria may return
 _BATCH_SIZES = (4, 3, 4)  # largest states, messages, actions in dominance_batch
 _Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) matrices of a candidate
 
@@ -299,11 +300,14 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     The nominal search space |M|^|S| * |A|^|M| is bounded by the budget;
     internally the sender side is pruned to per-state argmax sets, which
     is exhaustive because any pure equilibrium sender must best-respond.
+    More than _RESULT_BUDGET equilibria raise BudgetExceeded before any
+    profile is built.
     """
     nominal = g.n_messages ** g.n_states * g.n_actions ** g.n_messages
     if nominal > budget:
         raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    accepted = 0
     states = np.arange(g.n_states)
     weighted = g.prior[:, None] * g.payoff
     for maps, sv in _receiver_map_blocks(g):
@@ -313,13 +317,13 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
         counts = allowed.sum(axis=-1)  # (receiver maps, states)
         picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
         sizes = counts.prod(axis=-1)  # sender maps per receiver map
-        cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // _SENDER_BLOCK)) + 1
-        for block in np.split(np.arange(len(maps)), cuts):
-            r = np.repeat(block, sizes[block])
+        starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
+        for first in range(0, total, _SENDER_BLOCK):
             # each receiver map's sender maps in itertools.product order: a
             # mixed-radix count over the allowed sets, the last state fastest
-            rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes[block]) - sizes[block],
-                                                 sizes[block])
+            pair = np.arange(first, min(first + _SENDER_BLOCK, total))
+            r = np.searchsorted(starts, pair, side="right") - 1
+            rank = pair - starts[r]
             digits = np.empty((len(r), g.n_states), dtype=int)
             for s in reversed(states):
                 rank, digits[:, s] = np.divmod(rank, counts[r, s])
@@ -332,6 +336,9 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
             answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
             ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
             r, senders = r[ok], senders[ok]
+            accepted += len(r)
+            if accepted > _RESULT_BUDGET:
+                raise BudgetExceeded(f"pure equilibria exceed the result budget {_RESULT_BUDGET}")
             # a running sum adds the states in order, as a plain sum would
             payoffs = np.cumsum(g.prior * sv[r[:, None], states, senders], axis=1)[:, -1]
             found.append((senders, maps[r], payoffs))

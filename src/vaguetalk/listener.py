@@ -143,13 +143,15 @@ def _message_weights(prior: JointPrior, m: Message, xs: np.ndarray,
                             f"message needs {m.param_kind!r}")
 
 
-def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:
-    """The x grid and the L0 matrix, whose row j is the posterior after menu[j].
+def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
+                      ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """The x grid, the L0 matrix, and the error of each message that has no row.
 
-    Precise rows are one (lo, hi) mask over the grid for the whole menu;
-    every other row is built on its own. The first failing message in menu
-    order raises, so an error met at message j waits until the rows before
-    it are known to be alive. Then all rows are normalised at once.
+    Row j is the posterior after menu[j]. Precise rows are one (lo, hi) mask
+    over the grid for the whole menu; every other row is built on its own. A
+    message whose weights cannot be built keeps that error, and a message
+    false everywhere gets a ZeroPosterior; both keep a zero row. All other
+    rows are normalised at once.
     """
     if isinstance(prior, IndependentPrior):
         xs, x_probs = prior.x.support, prior.x.probs
@@ -157,7 +159,7 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
         xs, x_probs = prior.x_support, prior.joint.sum(axis=1)
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
-    lows, highs, other, failure = [], [], {}, None
+    lows, highs, other, errors = [], [], {}, {}
     for j, m in enumerate(menu):
         bounds = _BOUNDS.get(type(m))
         if bounds is not None:
@@ -165,9 +167,8 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
         else:
             try:
                 other[j] = _message_weights(prior, m, xs, x_probs)
-            except (TypeError, ValueError) as exc:  # raised below unless an earlier row is dead
-                failure = exc
-                break
+            except (TypeError, ValueError) as exc:
+                errors[j] = exc
             lo, hi = math.inf, -math.inf  # an empty mask, overwritten by other[j]
         lows.append(lo)
         highs.append(hi)
@@ -182,11 +183,23 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
     # rows are nonnegative, so a row sums to 0 exactly when no entry is positive
     totals = weights.sum(axis=1, keepdims=True)
     if not totals.all():
-        dead = int(np.argmin(totals))
-        raise ZeroPosterior(f"{menu[dead].label!r} is false everywhere under the prior")
-    if failure is not None:
-        raise failure
+        for j in np.flatnonzero(totals == 0).tolist():
+            if j not in errors:
+                errors[j] = ZeroPosterior(f"{menu[j].label!r} is false everywhere under the prior")
+        totals[totals == 0] = 1.0  # their rows stay zero
     weights /= totals
+    return xs, weights, errors
+
+
+def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:
+    """The x grid and the L0 matrix, whose row j is the posterior after menu[j].
+
+    The first message in menu order that has no row raises its error, so an
+    error met at message j waits until the rows before it are known to be alive.
+    """
+    xs, weights, errors = _literal_outcomes(prior, menu)
+    if errors:
+        raise errors[min(errors)]
     return xs, weights
 
 
@@ -254,6 +267,57 @@ def _grid_step(support: np.ndarray) -> float:
     return float(steps[0])
 
 
+def _closed_forms(prior: JointPrior, menu: Sequence[Message]) -> list[np.ndarray | Exception]:
+    """What closed_form_posterior gives for each message of menu: the closed-form
+    probabilities, or the error it raises.
+
+    The preconditions on the prior as a whole (independent, uniform x prior,
+    evenly spaced grid) and on each kind's t prior are checked once.
+    """
+    try:
+        if not isinstance(prior, IndependentPrior):
+            raise NonUniformPreconditionViolated("closed forms assume an independent prior")
+        if not _is_uniform(prior.x):
+            raise NonUniformPreconditionViolated("x prior is not uniform")
+        xs = prior.x.support
+        step = _grid_step(xs)
+    except NonUniformPreconditionViolated as exc:
+        return [exc] * len(menu)
+    n2 = len(xs) - 1
+    t_checks: dict = {}
+
+    def t_check(m: Message, expected: np.ndarray, text: str) -> Exception | None:
+        """The error of m's t prior against the one the closed form assumes."""
+        key = (m.param_kind, text)
+        if key not in t_checks:
+            try:
+                t = prior.t_prior_for(m)
+                ok = _is_uniform(t) and np.array_equal(t.support, expected)
+                t_checks[key] = None if ok else NonUniformPreconditionViolated(text)
+            except ValueError as exc:
+                t_checks[key] = exc
+        return t_checks[key]
+
+    out: list[np.ndarray | Exception] = []
+    for m in menu:
+        if isinstance(m, Around):
+            if n2 % 2 != 0:
+                out.append(NonUniformPreconditionViolated("around form needs an odd-size grid"))
+            elif m.center != xs[n2 // 2]:
+                out.append(NonUniformPreconditionViolated(
+                    f"around form assumes the center at the grid midpoint {xs[n2 // 2]:g}"))
+            else:
+                out.append(t_check(m, step * np.arange(n2 // 2 + 1),
+                                   "halo prior must be uniform on 0..n*step at the grid step")
+                           or around_closed_form(n2 // 2).probs)
+        elif isinstance(m, Threshold) and m.polarity == ">=":
+            out.append(t_check(m, xs, "threshold prior must be uniform on the world grid itself")
+                       or tall_closed_form(n2).probs)
+        else:
+            out.append(NonUniformPreconditionViolated(f"no closed form for {m.label!r}"))
+    return out
+
+
 def closed_form_posterior(prior: IndependentPrior, m: Message) -> Dist:
     """Dispatch to the matching closed form, verifying its preconditions.
 
@@ -261,30 +325,7 @@ def closed_form_posterior(prior: IndependentPrior, m: Message) -> Dist:
     exact uniform setting the formula was derived for. Used by scenario
     mode "closedform"; mode "auto" falls back to literal_update instead.
     """
-    if not isinstance(prior, IndependentPrior):
-        raise NonUniformPreconditionViolated("closed forms assume an independent prior")
-    if not _is_uniform(prior.x):
-        raise NonUniformPreconditionViolated("x prior is not uniform")
-    xs = prior.x.support
-    step = _grid_step(xs)
-    if isinstance(m, Around):
-        n2 = len(xs) - 1
-        if n2 % 2 != 0:
-            raise NonUniformPreconditionViolated("around form needs an odd-size grid")
-        n = n2 // 2
-        if m.center != xs[n]:
-            raise NonUniformPreconditionViolated(
-                f"around form assumes the center at the grid midpoint {xs[n]:g}")
-        t = prior.t_prior_for(m)
-        expected_t = step * np.arange(n + 1)
-        if not _is_uniform(t) or not np.array_equal(t.support, expected_t):
-            raise NonUniformPreconditionViolated(
-                "halo prior must be uniform on 0..n*step at the grid step")
-        return Dist(xs, around_closed_form(n).probs)
-    if isinstance(m, Threshold) and m.polarity == ">=":
-        t = prior.t_prior_for(m)
-        if not _is_uniform(t) or not np.array_equal(t.support, xs):
-            raise NonUniformPreconditionViolated(
-                "threshold prior must be uniform on the world grid itself")
-        return Dist(xs, tall_closed_form(len(xs) - 1).probs)
-    raise NonUniformPreconditionViolated(f"no closed form for {m.label!r}")
+    probs, = _closed_forms(prior, (m,))
+    if isinstance(probs, Exception):
+        raise probs
+    return Dist(prior.x.support, probs)

@@ -194,18 +194,22 @@ def kl_divergence(p: Dist, q: Dist) -> float:
 def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``KL(p || q)`` for every row ``q`` of ``rows``, as in ``kl_divergence``.
 
-    The masked matrix is made C-contiguous so each row sums as it would alone;
-    the terms are computed in one buffer.
+    ``p`` may also be a stack of distributions that share one support mask;
+    then row s of the result is the call on ``p[s]``. The masked matrix is
+    made C-contiguous, and the terms are computed in one C-ordered buffer, so
+    each row sums as it would alone.
     """
-    mask = p > 0
-    pm = p[mask]
+    mask = p > 0 if p.ndim == 1 else p[0] > 0
+    pm = p[mask] if p.ndim == 1 else p[:, None, mask]
     qm = np.ascontiguousarray(rows[:, mask])
+    # broadcasting a stack against qm need not give a C-ordered buffer
+    out = None if p.ndim == 1 else np.empty((len(p),) + qm.shape)
     with np.errstate(divide="ignore"):
-        terms = np.divide(pm, qm)
+        terms = np.divide(pm, qm, out=out)
         np.log(terms, out=terms)
     terms *= pm
-    kl = terms.sum(axis=1)
-    kl[np.any(qm == 0, axis=1)] = INF
+    kl = terms.sum(axis=-1)
+    kl[..., np.any(qm == 0, axis=1)] = INF
     return kl
 
 
@@ -219,6 +223,22 @@ def _stochastic_rows(matrix, what: str) -> np.ndarray:
         raise ValueError(f"{what} rows must be probability distributions")
     m.setflags(write=False)
     return m
+
+
+def _dist_rows(support: np.ndarray, matrix) -> list[Dist]:
+    """``Dist(support, row)`` for each row of ``matrix``, checked once as a
+    matrix; the distributions share ``support`` (read-only and strictly
+    increasing already) and read-only views of one copy of ``matrix``."""
+    m = _stochastic_rows(matrix, "posterior")
+    if m.shape[1] != len(support):
+        raise LengthMismatch(f"support has {len(support)} entries, rows have {m.shape[1]}")
+    out = []
+    for row in m:
+        d = object.__new__(Dist)
+        object.__setattr__(d, "support", support)
+        object.__setattr__(d, "probs", row)
+        out.append(d)
+    return out
 
 
 def _is_pure(matrix: np.ndarray) -> bool:
@@ -241,10 +261,10 @@ def softmax(utilities, lam: float) -> np.ndarray:
     """Choice probabilities proportional to ``exp(lam * u_i)``.
 
     Utilities may be ``-inf`` (those options get probability exactly 0);
-    at least one must be finite. ``lam`` must be positive. Computed with
+    at least one must be finite. ``lam`` must be positive and finite. Computed with
     the usual max-shift so large ``lam`` stays stable.
     """
-    if lam <= 0:
+    if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive, got {lam}")
     u = np.asarray(utilities, dtype=float)
     if np.any(np.isnan(u)) or np.any(u == INF):

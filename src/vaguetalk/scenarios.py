@@ -29,11 +29,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .listener import (IndependentPrior, NonUniformPreconditionViolated, _literal_rows,
-                       closed_form_posterior, literal_update)
+from .listener import (IndependentPrior, NonUniformPreconditionViolated, _closed_forms,
+                       _literal_outcomes, _literal_rows, closed_form_posterior, literal_update)
 from .messages import (Around, AtLeast, AtMost, Between, Message, TALL,
                        denotation, precise_alternatives, vague_alternatives)
-from .prob import Dist, _kl_rows, kl_divergence, normalize, uniform
+from .prob import Dist, _dist_rows, _kl_rows, kl_divergence, normalize, uniform
 from .speaker import Observation, best_index, utility_table
 
 __all__ = [
@@ -121,12 +121,12 @@ class Scenario:
                 raise ValueError(f"observation {o.id!r} is not on the grid")
         if len(self.weights) != len(self.observations):
             raise ValueError("one weight per observation required")
-        if any(w < 0 for w in self.weights) or \
+        if not all(0 <= w < math.inf for w in self.weights) or \
                 abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("observation weights must be nonnegative and sum to 1")
         if not self.menu:
             raise ValueError("menu must be nonempty")
-        if self.lam <= 0:
+        if not 0 < self.lam < math.inf:
             raise ValueError("lam must be positive")
         if self.listener_mode not in LISTENER_MODES:
             raise ValueError(f"listener_mode must be one of {LISTENER_MODES}")
@@ -148,21 +148,46 @@ class Scenario:
         on the uniform closed forms for vague messages (and errors
         outside their preconditions); "auto" uses a closed form when its
         preconditions hold and falls back to the joint otherwise.
+
+        The first call builds the posterior of every menu message at once;
+        each message still raises its own error only when it is asked for.
+        A message outside the menu is worked out on its own.
         """
         prior = self.prior
         mode = self.listener_mode
+        menu = self.menu
+        posteriors: dict[Message, Dist | Exception] = {}
 
-        @functools.cache
         def interpret(m: Message) -> Dist:
-            if m.vague and mode != "bruteforce":
-                try:
-                    return closed_form_posterior(prior, m)
-                except NonUniformPreconditionViolated:
-                    if mode == "closedform":
-                        raise
-            return literal_update(prior, m)
+            if not posteriors:  # built in reverse, so the first of equal messages wins
+                built = _menu_posteriors(prior, menu, mode)
+                posteriors.update(zip(reversed(menu), reversed(built)))
+            post = posteriors.get(m)
+            if post is None:
+                post = posteriors[m] = _menu_posteriors(prior, (m,), mode)[0]
+            if isinstance(post, Exception):
+                raise post.with_traceback(None)
+            return post
 
         return interpret
+
+
+def _menu_posteriors(prior: IndependentPrior, menu: Sequence[Message],
+                     mode: str) -> list[Dist | Exception]:
+    """The posterior of each menu message under a listener mode, or the error
+    that asking for it raises: the closed form where the mode takes one,
+    else the message's L0 row."""
+    xs, L0, errors = _literal_outcomes(prior, menu)
+    if mode != "bruteforce":
+        vague = [j for j, m in enumerate(menu) if m.vague]
+        for j, closed in zip(vague, _closed_forms(prior, [menu[j] for j in vague])):
+            if not isinstance(closed, Exception):
+                L0[j] = closed
+                errors.pop(j, None)
+            elif mode == "closedform" or not isinstance(closed, NonUniformPreconditionViolated):
+                errors[j] = closed
+    rows = iter(_dist_rows(xs, L0[[j for j in range(len(menu)) if j not in errors]]))
+    return [errors[j] if j in errors else next(rows) for j in range(len(menu))]
 
 
 def attendance_scenario(listener_mode: str = "auto") -> Scenario:
@@ -274,14 +299,15 @@ def _fmt_inf(x: float):
 
 
 def _menu_report(sc: Scenario, o: Observation, interpret: Callable[[Message], Dist]) -> list[dict]:
+    posteriors = [interpret(m) for m in sc.menu]
+    utilities = utility_table(o, sc.menu, interpret)
     rows = []
-    for m in sc.menu:
-        post = interpret(m)
-        kl = float(kl_divergence(o.dist, post))
+    for m, post, u in zip(sc.menu, posteriors, utilities.tolist()):
+        kl = -u
         rows.append({
             "label": m.label,
             "message": m.to_json(),
-            "posterior": [float(v) for v in post.probs],
+            "posterior": post.probs.tolist(),
             "kl": _fmt_inf(kl),
             "utility": _fmt_inf(-kl),
         })
@@ -480,9 +506,16 @@ def optimality_search(kind: str = "around", family: str = "default",
     if family == "default":
         family = "tent" if kind == "around" else "peaked"
     shapes = _observation_family(kind, family, grid, n_samples, seed)
-    witnesses = []
+    # one KL stack per support mask: row i of a stack is the 1-d call on shape i
+    groups: dict[bytes, list[int]] = {}
     for i, probs in enumerate(shapes):
-        u = -_kl_rows(probs, L0)
+        groups.setdefault((probs > 0).tobytes(), []).append(i)
+    utilities: list[np.ndarray] = [None] * len(shapes)
+    for members in groups.values():
+        for i, u in zip(members, -_kl_rows(np.array([shapes[i] for i in members]), L0)):
+            utilities[i] = u
+    witnesses = []
+    for i, (probs, u) in enumerate(zip(shapes, utilities)):
         best_vague = float(np.max(u[vague_mask]))
         best_precise = float(np.max(u[~vague_mask]))
         if not best_vague > best_precise:

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import math
 import pathlib
+from typing import Any
 
+import numpy as np
 import pytest
 
 from vaguetalk import cli, games
@@ -462,3 +465,95 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+def reference_clean(value: Any) -> Any:
+    """cli._clean as it was before float arrays were formatted in one pass:
+    one Python call per value."""
+    if isinstance(value, dict):
+        return {k: reference_clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_clean(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        x = float(value)
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+        return float(f"{x:.12g}")
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [reference_clean(v) for v in value.tolist()]
+    return value
+
+
+def random_report(rng, depth=0):
+    """A nested report of dicts, lists and tuples over the leaves a report
+    holds: floats with nan, +-inf and -0.0, numpy scalars and 0-3-d arrays."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1 / 3, 1e-300, 123456789.123456789]
+    kind = int(rng.integers(10 if depth < 3 else 6))
+    if kind == 0:
+        if rng.random() < 0.5:
+            return float(rng.choice(special))
+        return float(rng.normal() * 10.0 ** rng.integers(-20, 20))
+    if kind == 1:
+        return np.float32(rng.normal())
+    if kind == 2:
+        return np.int64(rng.integers(-1000, 1000))
+    if kind == 3:
+        return [None, True, "text", 7][int(rng.integers(4))]
+    if kind in (4, 5):
+        shape = tuple(int(k) for k in rng.integers(0, 4, size=int(rng.integers(0, 4))))
+        dtype = [np.float64, np.float32, np.int64, bool][int(rng.integers(4))]
+        a = np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5)).astype(dtype)
+        if a.dtype.kind == "f" and a.size and rng.random() < 0.5:
+            a.flat[int(rng.integers(a.size))] = rng.choice(special)
+        return a
+    items = [random_report(rng, depth + 1) for _ in range(int(rng.integers(4)))]
+    if kind == 6:
+        return tuple(items)
+    if kind == 7:
+        return items
+    return {f"k{i}": v for i, v in enumerate(items)}
+
+
+def zero_d_as_scalars(value):
+    """The report with each 0-d array replaced by its Python scalar, since
+    the reference cannot iterate a 0-d array."""
+    if isinstance(value, dict):
+        return {k: zero_d_as_scalars(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(zero_d_as_scalars(v) for v in value)
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        return value.tolist()
+    return value
+
+
+def test_clean_matches_the_one_call_per_value_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        report = random_report(rng)
+        want = json.dumps(reference_clean(zero_d_as_scalars(report)), sort_keys=True,
+                          allow_nan=False)
+        assert json.dumps(cli._clean(report), sort_keys=True, allow_nan=False) == want
+
+
+class TestResultBudget:
+    @staticmethod
+    def constant_game(n_states):
+        """Every profile of a constant-payoff game is an equilibrium: 2^n * 4
+        of them, 8.4 M at 21 states, inside the search budget."""
+        return {"states": [f"s{i}" for i in range(n_states)],
+                "prior": [1.0 / n_states] * n_states,
+                "messages": ["m0", "m1"], "actions": ["x0", "x1"],
+                "payoff": [[1.0, 1.0]] * n_states}
+
+    @pytest.mark.parametrize("sub", ["enumerate", "dominance"])
+    def test_cli_exits_5_with_one_line(self, capsys, tmp_path, sub):
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(self.constant_game(21)))
+        code, out, err = run(capsys, "game", str(path), sub)
+        assert code == 5
+        assert out == ""
+        assert err == "error: pure equilibria exceed the result budget 100000\n"

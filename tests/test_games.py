@@ -241,6 +241,20 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             enumerate_pure_equilibria(g, budget=10)
 
+    def test_too_many_equilibria_stop_before_any_profile_is_built(self):
+        # constant payoffs make all 2^21 * 2^2 = 8.4 M profiles, inside the
+        # search budget, equilibria; returning them would take about 10 GB
+        g = Game(tuple(f"s{i}" for i in range(21)), np.full(21, 1 / 21), ("m0", "m1"),
+                 ("x0", "x1"), np.ones((21, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="^pure equilibria exceed the result budget"):
+                enumerate_pure_equilibria(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
 
 class TestBabbling:
     def test_always_nash(self):

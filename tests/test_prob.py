@@ -10,6 +10,7 @@ from vaguetalk import (AllUtilitiesNegativeInfinite, AllZeroWeights, Dist, Exact
                        MixedProfile, Observation, Scenario, SpeakerStrategy,
                        SupportMismatch, ValueNotInSupport, kl_divergence,
                        normalize, point_mass, regrid, softmax, surprisal, uniform)
+from vaguetalk.prob import _kl_rows
 from vaguetalk.scenarios import _plain_kl
 
 
@@ -173,6 +174,26 @@ class TestKL:
             assert abs(got - want) <= 1e-12
 
 
+class TestKLStack:
+    @pytest.mark.parametrize("n", [9, 11, 41, 130])
+    def test_each_row_of_a_stack_is_its_own_call_bit_for_bit(self, n):
+        # one shared zero mask per stack; q rows with zeros inside and
+        # outside it give inf and finite terms side by side
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            mask = rng.random(n) < 0.8
+            mask[rng.integers(n)] = True
+            stack = rng.random((int(rng.integers(1, 8)), n)) * mask
+            stack /= stack.sum(axis=1, keepdims=True)
+            rows = rng.random((int(rng.integers(1, 60)), n)) * (rng.random((1, n)) < 0.9)
+            rows[:, rng.integers(n)] = 0.0 if rng.random() < 0.5 else rows[:, 0]
+            rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1e-300)
+            together = _kl_rows(stack, rows)
+            assert together.shape == (len(stack), len(rows))
+            for p, kl in zip(stack, together):
+                assert kl.tobytes() == _kl_rows(p, rows).tobytes()
+
+
 class TestSurprisal:
     def test_uniform_nine_grid(self):
         p = uniform(np.arange(9.0))
@@ -206,6 +227,11 @@ class TestSoftmax:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             softmax([0.0, 1.0], lam=0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            softmax([0.0, 1.0], lam=lam)
 
     def test_plus_inf_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguetalk import scenarios
-from vaguetalk import (ATTENDANCE_GRID, HEIGHT_GRID, P_O_ATTENDANCE, P_O_TALL,
-                       TALL, Around, Dist, Observation, Scenario,
-                       attendance_scenario, concentration_pairs_ok,
+from vaguetalk import (ATTENDANCE_GRID, HEIGHT_GRID, P_O_ATTENDANCE, P_O_TALL, SHORT,
+                       TALL, Around, AtLeast, AtMost, Between, Dist, Exact, Message,
+                       NonUniformPreconditionViolated, Observation, Scenario,
+                       attendance_scenario, closed_form_posterior, concentration_pairs_ok,
                        default_t_priors, gaussian_prior,
                        joint_enumeration_posterior, literal_update,
                        optimality_search, ratio_inequality_pairs_ok,
@@ -71,6 +73,15 @@ class TestPresets:
             Scenario(**{**ok, "lam": 0.0})
         with pytest.raises(ValueError):
             Scenario(**{**ok, "listener_mode": "fast"})
+
+    @pytest.mark.parametrize("change", [
+        {"lam": math.nan}, {"lam": math.inf}, {"lam": -math.inf},
+        {"weights": (math.nan,)}, {"weights": (math.inf,)}, {"weights": (-0.5,)},
+    ])
+    def test_temperature_and_weights_must_be_finite(self, change):
+        text = "lam must be positive" if "lam" in change else "weights must be nonnegative"
+        with pytest.raises(ValueError, match=text):
+            dataclasses.replace(attendance_scenario(), **change)
 
     def test_interpreter_modes_agree_on_table_case(self):
         a = attendance_scenario("auto").interpreter()(Around(40.0))
@@ -247,3 +258,98 @@ class TestNamedDispatch:
         rep = run_named_scenario("optimality-search", seed=0, n_samples=5)
         assert rep["around"]["kind"] == "around"
         assert rep["threshold"]["kind"] == "threshold"
+
+
+class Tilde(Around):
+    """A vague subclass that the closed forms and denotations accept as "around"."""
+
+
+class Murky(Message):
+    """A vague kind no denotation knows."""
+
+    vague = True
+    param_kind = "around"
+
+    @property
+    def label(self) -> str:
+        return "murky"
+
+
+class Exactly(Exact):
+    """A precise subclass, which takes the per-message L0 route."""
+
+
+@st.composite
+def menu_scenarios(draw):
+    """A scenario on an even or uneven grid, uniform or not, whose t priors
+    are the defaults, random or missing, and whose menu mixes every message
+    kind; plus messages to ask for, some of them outside the menu."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    if draw(st.booleans()):
+        grid = 10.0 * np.arange(n)
+    else:
+        grid = np.array(sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n))), float)
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
+
+    def dist(support):
+        if draw(st.booleans()):
+            return uniform(support)
+        w = np.array(draw(st.lists(weight, min_size=support.size, max_size=support.size)))
+        w[draw(st.integers(0, support.size - 1))] += 0.5  # never all zero
+        return Dist(support, w / w.sum())
+
+    t_priors = {}
+    for kind, default in default_t_priors(grid).items():
+        choice = draw(st.sampled_from(["default", "random", "missing"]))
+        if choice == "default":
+            t_priors[kind] = default
+        elif choice == "random":
+            t_priors[kind] = dist(default.support)
+    value = st.sampled_from(list(grid) + [-10.0, 5.0, 200.0])
+    between = st.tuples(value, value).map(lambda b: Between(*sorted(b)))
+    message = st.one_of(value.map(Exact), value.map(Exactly), value.map(AtLeast),
+                        value.map(AtMost), between, value.map(Around), value.map(Tilde),
+                        st.sampled_from([TALL, SHORT, Murky()]))
+    sc = Scenario(grid=grid, unit="u", x_prior=dist(grid), t_priors=t_priors,
+                  observations=(Observation("o", uniform(grid)),), weights=(1.0,),
+                  menu=tuple(draw(st.lists(message, min_size=1, max_size=12))),
+                  listener_mode=draw(st.sampled_from(scenarios.LISTENER_MODES)))
+    return sc, draw(st.lists(message, max_size=6))
+
+
+def one_message_route(sc, m):
+    """The listener route of each message on its own, as it was before a
+    scenario interpreter read one L0 matrix."""
+    if m.vague and sc.listener_mode != "bruteforce":
+        try:
+            return closed_form_posterior(sc.prior, m)
+        except NonUniformPreconditionViolated:
+            if sc.listener_mode == "closedform":
+                raise
+    return literal_update(sc.prior, m)
+
+
+def outcome(route, m):
+    try:
+        post = route(m)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return post.support.tobytes(), post.probs.tobytes()
+
+
+class TestMenuInterpreter:
+    @given(menu_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_one_message_route_bit_for_bit(self, case):
+        sc, extra = case
+        interpret = sc.interpreter()
+        asked = list(sc.menu) + extra
+        for m in asked + asked[::-1]:  # every message twice, the menu built on either
+            assert outcome(interpret, m) == outcome(lambda m: one_message_route(sc, m), m)
+
+    def test_rows_are_read_only_views_served_from_the_cache(self):
+        interpret = attendance_scenario().interpreter()
+        post = interpret(Around(40.0))
+        assert interpret(Around(40.0)) is post
+        assert not post.probs.flags.writeable and not post.support.flags.writeable
+        assert post.probs.tolist() == TENT
