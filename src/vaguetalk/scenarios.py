@@ -510,28 +510,28 @@ def optimality_search(kind: str = "around", family: str = "default",
     groups: dict[bytes, list[int]] = {}
     for i, probs in enumerate(shapes):
         groups.setdefault((probs > 0).tobytes(), []).append(i)
-    utilities: list[np.ndarray] = [None] * len(shapes)
+    u = np.empty((len(shapes), len(menu)))
     for members in groups.values():
-        for i, u in zip(members, -_kl_rows(np.array([shapes[i] for i in members]), L0)):
-            utilities[i] = u
+        u[members] = -_kl_rows(np.array([shapes[i] for i in members]), L0)
+    # argmax gives the first message of each kind with the best utility
+    vague, precise = np.flatnonzero(vague_mask), np.flatnonzero(~vague_mask)
+    vague_idx = vague[u[:, vague].argmax(axis=1)].tolist()
+    precise_idx = precise[u[:, precise].argmax(axis=1)].tolist()
     witnesses = []
-    for i, (probs, u) in enumerate(zip(shapes, utilities)):
-        best_vague = float(np.max(u[vague_mask]))
-        best_precise = float(np.max(u[~vague_mask]))
+    for i, probs in enumerate(shapes):
+        best_vague, best_precise = float(u[i, vague_idx[i]]), float(u[i, precise_idx[i]])
         if not best_vague > best_precise:
             continue
         margin = best_vague - best_precise
-        vague_idx = int(np.flatnonzero(vague_mask & (u == best_vague))[0])
-        precise_idx = int(np.flatnonzero(~vague_mask & (u == best_precise))[0])
         if not _verify_witness(menu, oracle, probs, best_vague, best_precise):
             raise AssertionError(
                 f"witness {i} failed independent verification; routes disagree")
         witnesses.append({
             "index": i,
             "p_o": [float(v) for v in probs],
-            "vague_message": menu[vague_idx].label,
+            "vague_message": menu[vague_idx[i]].label,
             "vague_utility": _fmt_inf(best_vague),
-            "best_precise_message": menu[precise_idx].label,
+            "best_precise_message": menu[precise_idx[i]].label,
             "best_precise_utility": _fmt_inf(best_precise),
             "margin": margin,
         })
