@@ -227,11 +227,10 @@ def _stochastic_rows(matrix, what: str) -> np.ndarray:
 
 def _dist_rows(support: np.ndarray, matrix) -> list[Dist]:
     """``Dist(support, row)`` for each row of ``matrix``, checked once as a
-    matrix; the distributions share ``support`` (read-only and strictly
-    increasing already) and read-only views of one copy of ``matrix``."""
+    matrix; the distributions share ``support`` (read-only, strictly
+    increasing and as long as a row already) and read-only views of one copy
+    of ``matrix``."""
     m = _stochastic_rows(matrix, "posterior")
-    if m.shape[1] != len(support):
-        raise LengthMismatch(f"support has {len(support)} entries, rows have {m.shape[1]}")
     out = []
     for row in m:
         d = object.__new__(Dist)
@@ -261,8 +260,8 @@ def softmax(utilities, lam: float) -> np.ndarray:
     """Choice probabilities proportional to ``exp(lam * u_i)``.
 
     Utilities may be ``-inf`` (those options get probability exactly 0);
-    at least one must be finite. ``lam`` must be positive and finite. Computed with
-    the usual max-shift so large ``lam`` stays stable.
+    at least one must be finite. ``lam`` must be positive and finite.
+    Computed with the usual max-shift so large ``lam`` stays stable.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive, got {lam}")

@@ -70,6 +70,7 @@ HEIGHT_GRID = np.arange(150.0, 201.0, 5.0)
 P_O_TALL = (0.0, 0.01, 0.01, 0.01, 0.02, 0.05, 0.16, 0.5, 0.16, 0.08, 0.0)
 GAUSSIAN_MEAN = 175.0
 GAUSSIAN_SD = 10.0
+_KL_STACK = 8  # speaker posteriors per KL call in optimality_search
 
 
 def default_t_prior_sizes(grid) -> dict[str, int]:
@@ -506,13 +507,17 @@ def optimality_search(kind: str = "around", family: str = "default",
     if family == "default":
         family = "tent" if kind == "around" else "peaked"
     shapes = _observation_family(kind, family, grid, n_samples, seed)
-    # one KL stack per support mask: row i of a stack is the 1-d call on shape i
+    # KL stacks of shapes that share a support mask: row i of a stack is the
+    # 1-d call on shape i; each stack is at most _KL_STACK shapes, so its
+    # (shapes, messages, grid) buffer stays small
     groups: dict[bytes, list[int]] = {}
     for i, probs in enumerate(shapes):
         groups.setdefault((probs > 0).tobytes(), []).append(i)
     u = np.empty((len(shapes), len(menu)))
     for members in groups.values():
-        u[members] = -_kl_rows(np.array([shapes[i] for i in members]), L0)
+        for k in range(0, len(members), _KL_STACK):
+            stack = members[k:k + _KL_STACK]
+            u[stack] = -_kl_rows(np.array([shapes[i] for i in stack]), L0)
     # argmax gives the first message of each kind with the best utility
     vague, precise = np.flatnonzero(vague_mask), np.flatnonzero(~vague_mask)
     vague_idx = vague[u[:, vague].argmax(axis=1)].tolist()
