@@ -79,8 +79,8 @@ def _clean(value: Any) -> Any:
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isfinite(value).all():
             cells = [float(f"{x:.12g}") for x in value.ravel().tolist()]

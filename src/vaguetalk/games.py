@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .prob import _is_pure, _quantized_key, _stochastic_rows
+from .prob import _is_pure, _stochastic_rows
 
 __all__ = [
     "Game",
@@ -377,39 +377,42 @@ def babbling_profile(g: Game) -> MixedProfile:
     return MixedProfile(*_babbling(g))
 
 
-def _support_enumeration_candidates(g: Game) -> Iterable[_Pair]:
+def _support_enumeration_candidates(g: Game) -> Iterator[_Pair]:
     """Mixed candidates built from sender indifference under pure receivers.
 
     For each pure receiver map, states whose best messages tie (within
     _TIE_TOL) may mix arbitrarily over the tied set; we emit uniform and
     two skewed weightings, paired both with that receiver and with the
-    exact Bayes reply to the mixed sender.
+    exact Bayes reply to the mixed sender. Yields one (n, S, M) sender and
+    (n, M, A) receiver stack per block of receiver maps that has a tie, in
+    the order map, weighting, then receiver before reply.
     """
     for maps, sv in _receiver_map_blocks(g):
         tied = _near_best(sv, _TIE_TOL)
         counts = tied.sum(axis=-1, keepdims=True)
         mixing = np.flatnonzero(np.any(counts != 1, axis=(1, 2)))
+        if not mixing.size:
+            continue
         tied, counts = tied[mixing, None], counts[mixing, None]  # (mixing maps, 1, S, ...)
         # a two-way tie gets weight w on its lower message; wider ties are uniform
         lower = _one_hot(tied.argmax(axis=-1), g.n_messages) == 1
         w = np.array([0.5, 0.25, 0.75])[:, None, None]
         senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
         replies = _receiver_best_reply(g, senders)  # (mixing maps, weightings, M, A)
-        for weighted, receiver, replied in zip(senders, _one_hot(maps[mixing], g.n_actions),
-                                               replies):
-            for sender, reply in zip(weighted, replied):
-                yield sender, receiver
-                yield sender, reply
+        receivers = np.broadcast_to(_one_hot(maps[mixing], g.n_actions)[:, None], replies.shape)
+        yield (np.repeat(senders.reshape(-1, g.n_states, g.n_messages), 2, axis=0),
+               np.stack([receivers, replies], axis=2).reshape(-1, g.n_messages, g.n_actions))
 
 
-def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterable[_Pair]:
+def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
     """Damped best-response dynamics from random interior starts.
 
     The starts are drawn one after another, sender then receiver, and run
     together as stacks. After the damped phase, the sender is polished onto
     exact argmax supports (keeping relative mass) and the receiver is
     recomputed as an exact best reply, so stable rest points come out as
-    clean candidates.
+    clean candidates. Yields one (starts, S, M) sender and (starts, M, A)
+    receiver stack.
     """
     starts, steps, eta = _DYNAMICS
     senders, receivers = [], []
@@ -427,29 +430,44 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterable[_Pair]:
     # eta < 1 the damped sender stays interior, so every support keeps mass
     mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), _TIE_TOL)
     polished = mass / mass.sum(axis=-1, keepdims=True)
-    yield from zip(polished, _receiver_best_reply(g, polished))
+    yield polished, _receiver_best_reply(g, polished)
+
+
+def _dedupe_keys(senders: np.ndarray, receivers: np.ndarray) -> list[bytes]:
+    """One key per pair of a nonempty (n, S, M) sender and (n, M, A) receiver
+    stack: the pair's entries rounded to multiples of _CANDIDATE_QUANTUM,
+    as the bytes of one int64 row."""
+    n = len(senders)
+    rounded = np.round(np.concatenate((senders.reshape(n, -1), receivers.reshape(n, -1)), axis=1)
+                       / _CANDIDATE_QUANTUM).astype(np.int64)
+    return rounded.view(np.dtype((np.void, rounded.shape[1] * 8))).ravel().tolist()
 
 
 def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedProfile]:
     """Candidate mixed equilibria from both generators, deduplicated.
 
     Exhaustive mixed enumeration is impossible, so the pure-dominance
-    property is checked over this generated family: sender-indifference
-    supports under every pure receiver, best-response dynamics rest
-    points, and the babbling profile. Only the pairs kept after
-    deduplication are validated as profiles.
+    property is checked over this generated family: the babbling profile,
+    sender-indifference supports under every pure receiver, and
+    best-response dynamics rest points, in that order. Each generator hands
+    over stacks of pairs, and each stack is rounded once for the dedupe
+    keys; a pair is kept when no earlier pair had its key, up to
+    _MAX_CANDIDATES, and the generators stop at that cap. Only the kept
+    pairs are validated as profiles.
     """
+    babbling = tuple(m[None] for m in _babbling(g))
     kept: list[_Pair] = []
     seen: set[bytes] = set()
-    for sender, receiver in itertools.chain([_babbling(g)],
-                                            _support_enumeration_candidates(g),
-                                            _dynamics_candidates(g, rng)):
-        key = _quantized_key(_CANDIDATE_QUANTUM, sender, receiver)
-        if key not in seen:
-            seen.add(key)
-            kept.append((sender, receiver))
-            if len(kept) >= _MAX_CANDIDATES:
-                break
+    for senders, receivers in itertools.chain([babbling], _support_enumeration_candidates(g),
+                                              _dynamics_candidates(g, rng)):
+        for key, sender, receiver in zip(_dedupe_keys(senders, receivers), senders, receivers):
+            if key not in seen:
+                seen.add(key)
+                kept.append((sender, receiver))
+                if len(kept) >= _MAX_CANDIDATES:
+                    break
+        if len(kept) >= _MAX_CANDIDATES:
+            break
     return _profiles(*map(np.stack, zip(*kept)))
 
 
@@ -477,23 +495,22 @@ class DominanceReport:
         return sum(1 for e in self.entries if e.verdict != "NOT-EQUILIBRIUM")
 
 
-def _support_spread(g: Game, p: MixedProfile) -> float:
-    """Largest payoff gap inside any positive-prior state's sent support."""
-    sv = _sender_values(g, p.receiver)
-    supported = (p.sender > 0) & (g.prior > 0)[:, None]
-    highest = np.where(supported, sv, -np.inf).max(axis=1)
-    lowest = np.where(supported, sv, np.inf).min(axis=1)
-    return float(np.max(highest - lowest, initial=0.0))
-
-
 def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
                           tol: float = 1e-7) -> DominanceReport:
     """Check that no verified mixed equilibrium beats the best pure one.
 
-    Each candidate is Nash-verified first; non-equilibria are listed but
-    excluded from the dominance claim. Verified equilibria must have
-    payoff <= best pure payoff + tol and equal payoffs across each
-    state's sent support (within tol).
+    Each candidate is Nash-verified first, as is_nash(g, p, tol).ok would;
+    non-equilibria are listed but excluded from the dominance claim.
+    Verified equilibria must have payoff <= best pure payoff + tol and
+    equal payoffs across each positive-prior state's sent support (within
+    tol). The pure equilibria are enumerated before any candidate is read;
+    a candidate that does not fit the game then raises DimensionMismatch.
+
+    All candidates are checked at once, as a (K, S, M) sender and a
+    (K, M, A) receiver stack, with a fixed number of array operations.
+    Every product of two candidate-sized arrays is taken per slice, as one
+    profile's would be, so each payoff equals expected_payoff(g, p) and
+    each verdict is_nash's bit for bit, exact ties included.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
@@ -501,19 +518,34 @@ def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
     if not pure:
         raise RuntimeError("no pure equilibrium found; enumeration is broken")
     best_pure = pure[0][1]
+    for p in candidates:
+        _check_dims(g, p)
+    senders = np.stack([p.sender for p in candidates])
+    receivers = np.stack([p.receiver for p in candidates])
+    # one prior-weighted dot product per candidate, as in expected_payoff;
+    # a single matrix-vector product over the stack may round differently
+    rows = ((senders @ receivers) * g.payoff).sum(axis=-1)
+    payoffs = (g.prior @ rows[..., None])[:, 0]
+    # is_nash's two conditions: no positive-prior state gains by switching
+    # messages, and no used message's action gains under its posterior
+    sv = _sender_values(g, receivers)
+    sender_gain = sv.max(axis=-1) > (senders * sv).sum(axis=-1) + tol
+    use, values = _bayes(g, senders)
+    got = (values[..., None, :] @ receivers[..., None])[..., 0, 0]
+    receiver_gain = values.max(axis=-1) > got + tol
+    nash = ~np.any(sender_gain & (g.prior > 0), axis=-1) & ~np.any(receiver_gain & (use > 0), axis=-1)
+    # the largest payoff gap inside any positive-prior state's sent support
+    supported = (senders > 0) & (g.prior > 0)[:, None]
+    spreads = np.max(np.where(supported, sv, -np.inf).max(axis=-1)
+                     - np.where(supported, sv, np.inf).min(axis=-1), axis=-1, initial=0.0)
+    passed = (payoffs <= best_pure + tol) & (spreads <= tol)
     entries = []
-    for i, p in enumerate(candidates):
-        payoff = expected_payoff(g, p)
-        nash = is_nash(g, p, tol).ok
-        if not nash:
-            verdict = "NOT-EQUILIBRIUM"
-            spread = math.nan
+    for i, (payoff, ok, spread, good) in enumerate(zip(payoffs.tolist(), nash.tolist(),
+                                                       spreads.tolist(), passed.tolist())):
+        if ok:
+            entries.append(CandidateVerdict(i, payoff, True, spread, "PASS" if good else "FAIL"))
         else:
-            spread = _support_spread(g, p)
-            dominated = payoff <= best_pure + tol
-            indifferent = spread <= tol
-            verdict = "PASS" if (dominated and indifferent) else "FAIL"
-        entries.append(CandidateVerdict(i, payoff, nash, spread, verdict))
+            entries.append(CandidateVerdict(i, payoff, False, math.nan, "NOT-EQUILIBRIUM"))
     return DominanceReport(best_pure, len(pure), tuple(entries))
 
 

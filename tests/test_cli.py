@@ -231,6 +231,16 @@ class TestGame:
         assert out == ""
         assert "budget" in err
 
+    def test_dominance_on_a_file_with_a_misfit_profile_exits_2(self, capsys, tmp_path):
+        game = json.loads(pathlib.Path(HEIGHTS).read_text())
+        game["profiles"]["mixed"]["sender"] = [[1, 0], [0, 1]]
+        path = tmp_path / "misfit.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "game", str(path), "dominance")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: profiles.mixed.sender")
+
     def test_random_batch(self, capsys):
         code, out, _ = run(capsys, "game", "random", "dominance",
                            "--n", "5", "--seed", "7")
@@ -537,6 +547,17 @@ def test_clean_matches_the_one_call_per_value_reference():
         want = json.dumps(reference_clean(zero_d_as_scalars(report)), sort_keys=True,
                           allow_nan=False)
         assert json.dumps(cli._clean(report), sort_keys=True, allow_nan=False) == want
+
+
+@pytest.mark.parametrize("value, want", [
+    (np.True_, "true"),
+    (np.False_, "false"),
+    (np.array(True), "true"),
+    (np.array([[True, False]]), "[[true, false]]"),
+    ({"nash": np.bool_(False), "entries": [np.True_]}, '{"nash": false, "entries": [true]}'),
+])
+def test_clean_writes_numpy_bools_as_json_bools(value, want):
+    assert json.dumps(cli._clean(value)) == want
 
 
 class TestResultBudget:

@@ -352,6 +352,127 @@ class TestDominance:
         assert (a.n_candidates, a.n_verified) != (b.n_candidates, b.n_verified)
 
 
+def reference_spread(g, p):
+    """Largest payoff gap inside any positive-prior state's sent support,
+    one state at a time."""
+    sv = g.payoff @ p.receiver.T
+    spread = 0.0
+    for s in range(g.n_states):
+        if g.prior[s] > 0:
+            sent = [sv[s, m] for m in range(g.n_messages) if p.sender[s, m] > 0]
+            spread = max(spread, float(max(sent) - min(sent)))
+    return spread
+
+
+def stochastic(rng, n_rows, n_cols, used):
+    """Random rows over the columns marked in used, zero elsewhere."""
+    m = rng.random((n_rows, n_cols)) * used
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def dominance_cases(draw):
+    """A game up to 5 x 4 x 4 and candidates laid out as `game <file>
+    dominance` lays them out: hand-made profiles, then the generated ones.
+
+    The games may have zero-prior states and copied payoff columns (exact
+    ties); the hand-made profiles leave messages unused, are pure or
+    mixed, mostly not equilibria, and include generated candidates whose
+    zero-prior rows were redrawn (still equilibria, but only because those
+    states are exempt).
+    """
+    n_s, n_m, n_a = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(n_s) + 0.05
+    # at most two zero-prior states: each multiplies the pure equilibria by up to n_m
+    weights[sorted(draw(st.sets(st.integers(0, n_s - 1), max_size=min(2, n_s - 1))))] = 0.0
+    payoff = rng.random((n_s, n_a))
+    if n_a > 1 and draw(st.booleans()):
+        source, target = rng.choice(n_a, 2, replace=False)
+        payoff[:, target] = payoff[:, source]
+    g = Game(tuple(f"s{i}" for i in range(n_s)), weights / weights.sum(),
+             tuple(f"m{i}" for i in range(n_m)), tuple(f"a{i}" for i in range(n_a)), payoff)
+    generated = generate_mixed_candidates(g, rng)
+    hand_made = []
+    for _ in range(draw(st.integers(0, 4))):
+        used = np.zeros(n_m)
+        used[rng.choice(n_m, int(rng.integers(1, n_m + 1)), replace=False)] = 1.0
+        if draw(st.booleans()):
+            sender = np.eye(n_m)[rng.choice(np.flatnonzero(used), n_s)]
+            receiver = np.eye(n_a)[rng.integers(n_a, size=n_m)]
+        else:
+            sender = stochastic(rng, n_s, n_m, used)
+            receiver = stochastic(rng, n_m, n_a, np.ones(n_a))
+        hand_made.append(MixedProfile(sender, receiver))
+    zero = g.prior == 0
+    for p in generated[:draw(st.integers(0, 3)) if zero.any() else 0]:
+        sender = p.sender.copy()
+        sender[zero] = stochastic(rng, int(zero.sum()), n_m, np.ones(n_m))
+        hand_made.append(MixedProfile(sender, p.receiver))
+    return g, hand_made + generated
+
+
+class TestStackedCheck:
+    """mixed_dominance_check checks all candidates in one stacked pass; each
+    entry must equal the one-profile route bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominance_cases())
+    def test_each_entry_equals_the_one_profile_route(self, case):
+        g, candidates = case
+        tol = 1e-7
+        report = mixed_dominance_check(g, candidates, tol)
+        pure = enumerate_pure_equilibria(g)
+        assert report.best_pure_payoff == pure[0][1]
+        assert report.n_pure_equilibria == len(pure)
+        assert len(report.entries) == len(candidates)
+        for i, (p, e) in enumerate(zip(candidates, report.entries)):
+            assert type(e.index) is int and e.index == i
+            assert type(e.payoff) is float
+            assert e.payoff.hex() == expected_payoff(g, p).hex()
+            assert type(e.nash) is bool and e.nash == is_nash(g, p, tol).ok
+            assert type(e.support_spread) is float
+            if e.nash:
+                assert e.support_spread.hex() == reference_spread(g, p).hex()
+                passed = e.payoff <= report.best_pure_payoff + tol and e.support_spread <= tol
+                assert e.verdict == ("PASS" if passed else "FAIL")
+            else:
+                assert math.isnan(e.support_spread)
+                assert e.verdict == "NOT-EQUILIBRIUM"
+
+
+class TestDominanceErrors:
+    def wide_game(self):
+        # 10^2 * 10^10 pure profiles, over ENUMERATION_BUDGET
+        return Game(("a", "b"), [0.5, 0.5], tuple(f"m{i}" for i in range(10)),
+                    tuple(f"x{i}" for i in range(10)), np.eye(2, 10))
+
+    def test_budget_is_checked_before_any_candidate_is_read(self):
+        class Unreadable(list):
+            def __iter__(self):
+                raise AssertionError("a candidate was read")
+
+            def __getitem__(self, i):
+                raise AssertionError("a candidate was read")
+
+        wrong_shape = MixedProfile(np.eye(2), np.eye(2))
+        for candidates in (Unreadable([wrong_shape]), [wrong_shape]):
+            with pytest.raises(BudgetExceeded):
+                mixed_dominance_check(self.wide_game(), candidates)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_the_first_wrong_shape_is_reported(self, k):
+        g = heights_game()
+        good = generate_mixed_candidates(g, np.random.default_rng(0))[:k]
+        first = MixedProfile(np.eye(2), np.eye(2, 3))
+        second = MixedProfile(np.full((3, 3), 1 / 3), np.eye(3))
+        with pytest.raises(DimensionMismatch) as want:
+            expected_payoff(g, first)
+        with pytest.raises(DimensionMismatch) as got:
+            mixed_dominance_check(g, good + [first, second] + good)
+        assert str(got.value) == str(want.value)
+
+
 class TestProfileStacks:
     def stacks(self, n=4, shape=(3, 2, 4)):
         rng = np.random.default_rng(n)

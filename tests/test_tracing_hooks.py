@@ -13,9 +13,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from vaguetalk import games, ibr, scenarios
+from vaguetalk import cli, games, ibr, scenarios
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+HEIGHTS = str(ROOT / "demos" / "data" / "heights3.json")
 
 
 @pytest.fixture
@@ -55,15 +57,19 @@ def test_wrapped_names_are_in_use(tracing):
     assert 0 < kl_calls_in_report < tracer.counts["prob.kl_calls"]
 
 
-def test_games_names_are_in_use(tracing):
+def test_games_names_are_in_use(tracing, capsys):
     tracer = tracing.Tracer()
     g = games.random_game([0, 1], 3, 3, 3)
     with tracing.traced_op(tracer, 0):
         candidates = games.generate_mixed_candidates(g, np.random.default_rng(0))
         games.mixed_dominance_check(g, candidates)
+        # the dominance check verifies its candidates as one stack, without
+        # is_nash; the CLI's check command still calls it
+        assert cli.main(["game", HEIGHTS, "check", "--mixed"]) == 0
+    capsys.readouterr()
     by_id = {s.id: s for s in tracer.spans}
     parents = {s.name: by_id[s.parent].name for s in tracer.spans if s.parent in by_id}
     assert parents["games.enumerate_pure_equilibria"] == "games.mixed_dominance_check"
-    assert parents["games.is_nash"] == "games.mixed_dominance_check"
+    assert parents["games.is_nash"] == "cli.main"
     assert tracer.counts["games.candidates"] == len(candidates) > 1
     assert tracer.counts["games.pure_equilibria"] > 0
