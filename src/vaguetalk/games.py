@@ -383,9 +383,9 @@ def _support_enumeration_candidates(g: Game) -> Iterator[_Pair]:
     For each pure receiver map, states whose best messages tie (within
     _TIE_TOL) may mix arbitrarily over the tied set; we emit uniform and
     two skewed weightings, paired both with that receiver and with the
-    exact Bayes reply to the mixed sender. Yields one (n, S, M) sender and
-    (n, M, A) receiver stack per block of receiver maps that has a tie, in
-    the order map, weighting, then receiver before reply.
+    exact Bayes reply to the mixed sender. Yields (n, S, M) sender and
+    (n, M, A) receiver stacks of at most _MAX_CANDIDATES pairs, in the order
+    receiver map, weighting, then receiver before reply.
     """
     for maps, sv in _receiver_map_blocks(g):
         tied = _near_best(sv, _TIE_TOL)
@@ -398,10 +398,16 @@ def _support_enumeration_candidates(g: Game) -> Iterator[_Pair]:
         lower = _one_hot(tied.argmax(axis=-1), g.n_messages) == 1
         w = np.array([0.5, 0.25, 0.75])[:, None, None]
         senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
-        replies = _receiver_best_reply(g, senders)  # (mixing maps, weightings, M, A)
-        receivers = np.broadcast_to(_one_hot(maps[mixing], g.n_actions)[:, None], replies.shape)
-        yield (np.repeat(senders.reshape(-1, g.n_states, g.n_messages), 2, axis=0),
-               np.stack([receivers, replies], axis=2).reshape(-1, g.n_messages, g.n_actions))
+        replies = _receiver_best_reply(g, senders).reshape(-1, g.n_messages, g.n_actions)
+        pure = np.repeat(maps[mixing], senders.shape[1], axis=0)  # each weighting's receiver map
+        senders = senders.reshape(-1, g.n_states, g.n_messages)
+        # each sender makes two pairs: stacks of at most _MAX_CANDIDATES pairs
+        # keep the memory of a block's pairs and their dedupe keys small
+        for first in range(0, len(senders), _MAX_CANDIDATES // 2):
+            part = slice(first, first + _MAX_CANDIDATES // 2)
+            receivers = np.stack([_one_hot(pure[part], g.n_actions), replies[part]], axis=1)
+            yield (np.repeat(senders[part], 2, axis=0),
+                   receivers.reshape(-1, g.n_messages, g.n_actions))
 
 
 def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
@@ -533,7 +539,8 @@ def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
     use, values = _bayes(g, senders)
     got = (values[..., None, :] @ receivers[..., None])[..., 0, 0]
     receiver_gain = values.max(axis=-1) > got + tol
-    nash = ~np.any(sender_gain & (g.prior > 0), axis=-1) & ~np.any(receiver_gain & (use > 0), axis=-1)
+    nash = (~np.any(sender_gain & (g.prior > 0), axis=-1)
+            & ~np.any(receiver_gain & (use > 0), axis=-1))
     # the largest payoff gap inside any positive-prior state's sent support
     supported = (senders > 0) & (g.prior > 0)[:, None]
     spreads = np.max(np.where(supported, sv, -np.inf).max(axis=-1)
