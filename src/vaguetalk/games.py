@@ -56,7 +56,7 @@ _RECEIVER_BLOCK = 256  # receiver maps per batch in the enumeration and support 
 _SENDER_BLOCK = 1024  # sender maps checked per batch in enumerate_pure_equilibria
 _RESULT_BUDGET = 100_000  # pure equilibria enumerate_pure_equilibria may return
 _BATCH_SIZES = (4, 3, 4)  # largest states, messages, actions in dominance_batch
-_Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) matrices of a candidate
+_Pair = tuple[np.ndarray, np.ndarray]  # (sender, receiver) of a candidate, or stacks of them
 
 
 class DimensionMismatch(ValueError):
@@ -399,13 +399,14 @@ def _support_enumeration_candidates(g: Game) -> Iterator[_Pair]:
         w = np.array([0.5, 0.25, 0.75])[:, None, None]
         senders = np.where(counts == 2, np.where(lower, w, 1.0 - w) * tied, _uniform_over(tied))
         replies = _receiver_best_reply(g, senders).reshape(-1, g.n_messages, g.n_actions)
-        pure = np.repeat(maps[mixing], senders.shape[1], axis=0)  # each weighting's receiver map
+        receiver_maps = np.repeat(maps[mixing], senders.shape[1], axis=0)  # one per weighting
         senders = senders.reshape(-1, g.n_states, g.n_messages)
         # each sender makes two pairs: stacks of at most _MAX_CANDIDATES pairs
         # keep the memory of a block's pairs and their dedupe keys small
         for first in range(0, len(senders), _MAX_CANDIDATES // 2):
             part = slice(first, first + _MAX_CANDIDATES // 2)
-            receivers = np.stack([_one_hot(pure[part], g.n_actions), replies[part]], axis=1)
+            receivers = np.stack([_one_hot(receiver_maps[part], g.n_actions), replies[part]],
+                                 axis=1)
             yield (np.repeat(senders[part], 2, axis=0),
                    receivers.reshape(-1, g.n_messages, g.n_actions))
 

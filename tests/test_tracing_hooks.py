@@ -57,7 +57,7 @@ def test_wrapped_names_are_in_use(tracing):
     assert 0 < kl_calls_in_report < tracer.counts["prob.kl_calls"]
 
 
-def test_games_names_are_in_use(tracing, capsys):
+def test_games_names_are_in_use(tracing):
     tracer = tracing.Tracer()
     g = games.random_game([0, 1], 3, 3, 3)
     with tracing.traced_op(tracer, 0):
@@ -66,7 +66,6 @@ def test_games_names_are_in_use(tracing, capsys):
         # the dominance check verifies its candidates as one stack, without
         # is_nash; the CLI's check command still calls it
         assert cli.main(["game", HEIGHTS, "check", "--mixed"]) == 0
-    capsys.readouterr()
     by_id = {s.id: s for s in tracer.spans}
     parents = {s.name: by_id[s.parent].name for s in tracer.spans if s.parent in by_id}
     assert parents["games.enumerate_pure_equilibria"] == "games.mixed_dominance_check"
