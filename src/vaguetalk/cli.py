@@ -43,6 +43,8 @@ EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
 EXIT_NO_TRUTHFUL = 4
 EXIT_BUDGET = 5
+MAX_GAMES = 100_000  # largest `game random dominance --n`, minutes of work
+MAX_SAMPLES = 10_000  # largest `scenario optimality-search --samples`, seconds of work
 
 
 def _seed(text: str) -> int:
@@ -56,12 +58,15 @@ def _seed(text: str) -> int:
 _seed.__name__ = "int"
 
 
-def _positive(kind: type) -> Callable[[str], Any]:
-    """argparse type: a finite number of the given kind, above zero."""
+def _positive(kind: type, most: float = math.inf) -> Callable[[str], Any]:
+    """argparse type: a finite number of the given kind, above zero and at
+    most `most`."""
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <name> value"
         if not (value > 0 and math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -417,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="named profile from the file, or a JSON path")
     p.add_argument("--pure", action="store_true", help="shorthand for --profile pure")
     p.add_argument("--mixed", action="store_true", help="shorthand for --profile mixed")
-    p.add_argument("--n", type=_positive(int), default=500, help="random batch size")
+    p.add_argument("--n", type=_positive(int, MAX_GAMES), default=500,
+                   help=f"random batch size, at most {MAX_GAMES}")
     p.add_argument("--seed", type=_seed, default=os.environ.get("VS_SEED", "0"),
                    help="non-negative integer (default: VS_SEED, else 0)")
     p.add_argument("--tol", type=_positive(float), default=1e-9)
@@ -428,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=scenarios.SCENARIO_NAMES)
     p.add_argument("--seed", type=_seed, default=os.environ.get("VS_SEED", "0"),
                    help="non-negative integer (default: VS_SEED, else 0)")
-    p.add_argument("--samples", type=_positive(int), default=40,
-                   help="optimality-search family size")
+    p.add_argument("--samples", type=_positive(int, MAX_SAMPLES), default=40,
+                   help=f"optimality-search family size, at most {MAX_SAMPLES}")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.add_argument("--paper-format", action="store_true")
     p.set_defaults(func=cmd_scenario)

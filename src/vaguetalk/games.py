@@ -173,12 +173,12 @@ def _one_hot(indices, n: int) -> np.ndarray:
 
 def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
     """Mask of each row's entries within tol of the row maximum."""
-    return values >= values.max(axis=-1, keepdims=True) - tol
+    return values >= np.maximum.reduce(values, axis=-1, keepdims=True) - tol
 
 
 def _uniform_over(mask: np.ndarray) -> np.ndarray:
     """Each row spread evenly over its True entries."""
-    return mask / mask.sum(axis=-1, keepdims=True)
+    return mask / np.add.reduce(mask, axis=-1, keepdims=True)
 
 
 def _check_dims(g: Game, p: MixedProfile) -> None:
@@ -237,10 +237,11 @@ def _bayes(g: Game, sender: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     use = g.prior @ sender
     used = use > 0
-    post = g.prior[:, None] * sender / np.where(used, use, 1.0)[..., None, :]
-    post = np.ascontiguousarray(np.swapaxes(post, -1, -2))
+    post = np.multiply(np.swapaxes(sender, -1, -2), g.prior, order="C")  # (..., M, S)
+    post /= np.where(used, use, 1.0)[..., None]
     values = (post[..., None, :] @ g.payoff)[..., 0, :]
-    values[~used] = g.prior @ g.payoff
+    if not used.all():
+        values[~used] = g.prior @ g.payoff
     return use, values
 
 
@@ -350,16 +351,11 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     return list(zip(profiles, payoffs[order].tolist()))
 
 
-def _receiver_best_reply(g: Game, sender: np.ndarray, tie: str = "first") -> np.ndarray:
-    """Bayes best reply to a sender; unused messages answer the full prior.
-
-    tie="first" picks the lowest action index; tie="uniform" spreads mass
-    over the argmax set (used by the interior dynamics).
-    """
+def _receiver_best_reply(g: Game, sender: np.ndarray) -> np.ndarray:
+    """Bayes best reply to a sender, lowest action index on ties; unused
+    messages answer the full prior."""
     _, values = _bayes(g, sender)
-    if tie == "first":
-        return _one_hot(values.argmax(axis=-1), g.n_actions)
-    return _uniform_over(_near_best(values, _TIE_TOL))
+    return _one_hot(values.argmax(axis=-1), g.n_actions)
 
 
 def _babbling(g: Game) -> tuple[np.ndarray, np.ndarray]:
@@ -415,11 +411,22 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
     """Damped best-response dynamics from random interior starts.
 
     The starts are drawn one after another, sender then receiver, and run
-    together as stacks. After the damped phase, the sender is polished onto
-    exact argmax supports (keeping relative mass) and the receiver is
-    recomputed as an exact best reply, so stable rest points come out as
-    clean candidates. Yields one (starts, S, M) sender and (starts, M, A)
-    receiver stack.
+    together as stacks. A damped step moves the receiver by eta toward the
+    uniform spread over its Bayes near-best actions (mask mr), then the
+    sender toward the spread over its near-best messages under the new
+    receiver (mask ms). The masks rarely change, so the steps run in
+    strides: after one plain step, the next n steps are built as if both
+    masks held, the true masks of all n are taken in one stacked pass, and
+    the longest prefix that kept both masks is accepted; n doubles after a
+    full success and restarts at 4 after a mismatch. An accepted step used
+    a plain step's masks and arithmetic, and the stacked kernels round each
+    slice as alone, so the result equals the step-by-step loop bit for
+    bit. Every pass advances at least one step.
+
+    After the damped phase, the sender is polished onto exact argmax
+    supports (keeping relative mass) and the receiver is recomputed as an
+    exact best reply, so stable rest points come out as clean candidates.
+    Yields one (starts, S, M) sender and (starts, M, A) receiver stack.
     """
     starts, steps, eta = _DYNAMICS
     senders, receivers = [], []
@@ -429,10 +436,38 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
         receiver = rng.random((g.n_messages, g.n_actions)) + 1e-3
         receivers.append(receiver / receiver.sum(axis=1, keepdims=True))
     sender, receiver = np.stack(senders), np.stack(receivers)
-    for _ in range(steps):
-        receiver = (1 - eta) * receiver + eta * _receiver_best_reply(g, sender, tie="uniform")
-        br = _uniform_over(_near_best(_sender_values(g, receiver), _TIE_TOL))
-        sender = (1 - eta) * sender + eta * br
+    done, stride = 0, 4
+    while done < steps:
+        # a plain step, whose masks and pushes the next stride reuses
+        mr = _near_best(_bayes(g, sender)[1], _TIE_TOL)
+        push_r = eta * _uniform_over(mr)
+        receiver = (1 - eta) * receiver + push_r
+        ms = _near_best(_sender_values(g, receiver), _TIE_TOL)
+        push_s = eta * _uniform_over(ms)
+        sender = (1 - eta) * sender + push_s
+        done += 1
+        while done < steps:
+            n = min(stride, steps - done)
+            sender_path = np.empty((n + 1, *sender.shape))
+            receiver_path = np.empty((n + 1, *receiver.shape))
+            sender_path[0], receiver_path[0] = sender, receiver
+            for k in range(n):
+                np.multiply(sender_path[k], 1 - eta, out=sender_path[k + 1])
+                sender_path[k + 1] += push_s
+                np.multiply(receiver_path[k], 1 - eta, out=receiver_path[k + 1])
+                receiver_path[k + 1] += push_r
+            # step k holds if sender_path[k] gives mr and the receiver it made,
+            # receiver_path[k + 1], gives ms
+            same_r = _near_best(_bayes(g, sender_path[:n])[1], _TIE_TOL) == mr
+            same_s = _near_best(_sender_values(g, receiver_path[1:]), _TIE_TOL) == ms
+            held = same_r.reshape(n, -1).all(axis=1) & same_s.reshape(n, -1).all(axis=1)
+            kept = n if held.all() else int(held.argmin())
+            sender, receiver = sender_path[kept], receiver_path[kept]
+            done += kept
+            if kept < n:
+                stride = 4
+                break
+            stride *= 2
     # polish: restrict each sender row to its exact argmax support; with
     # eta < 1 the damped sender stays interior, so every support keeps mass
     mass = sender * _near_best(_sender_values(g, _receiver_best_reply(g, sender)), _TIE_TOL)

@@ -415,6 +415,9 @@ class TestBadNumbers:
         ("game", HEIGHTS, "check", "--mixed", "--tol", "-1"),
         ("game", "random", "dominance", "--n", "-3"),
         ("scenario", "optimality-search", "--samples", "0"),
+        ("game", "random", "dominance", "--n", "100001"),
+        ("game", "random", "dominance", "--n", "50000000"),
+        ("scenario", "optimality-search", "--samples", "10001"),
         ("game", "random", "dominance", "--n", "1", "--seed", "-1"),
         ("scenario", "optimality-search", "--seed", "-1"),
     ])

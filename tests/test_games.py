@@ -15,7 +15,8 @@ from vaguetalk import (BudgetExceeded, Game, MissingQuestion, MixedProfile,
                        generate_mixed_candidates, is_nash,
                        mixed_dominance_check, precisify, pure_profile,
                        question_precision, random_game, speaker_meaning)
-from vaguetalk.games import DimensionMismatch, _profiles
+from vaguetalk.games import (_DYNAMICS, _TIE_TOL, DimensionMismatch, _bayes,
+                             _dynamics_candidates, _profiles)
 
 
 def heights_game():
@@ -439,6 +440,110 @@ class TestStackedCheck:
             else:
                 assert math.isnan(e.support_spread)
                 assert e.verdict == "NOT-EQUILIBRIUM"
+
+
+def reference_dynamics(g, rng):
+    """The damped dynamics one plain step at a time, with the kernels
+    written out as plain numpy: the route _dynamics_candidates must equal
+    bit for bit."""
+    starts, steps, eta = _DYNAMICS
+
+    def near_best(values):
+        return values >= values.max(axis=-1, keepdims=True) - _TIE_TOL
+
+    def uniform_over(mask):
+        return mask / mask.sum(axis=-1, keepdims=True)
+
+    def bayes_values(sender):
+        use = g.prior @ sender
+        used = use > 0
+        post = g.prior[:, None] * sender / np.where(used, use, 1.0)[..., None, :]
+        post = np.ascontiguousarray(np.swapaxes(post, -1, -2))
+        values = (post[..., None, :] @ g.payoff)[..., 0, :]
+        values[~used] = g.prior @ g.payoff
+        return values
+
+    def sender_values(receiver):
+        return g.payoff @ np.swapaxes(receiver, -1, -2)
+
+    def first_best_reply(sender):
+        return np.eye(g.n_actions)[bayes_values(sender).argmax(axis=-1)]
+
+    senders, receivers = [], []
+    for _ in range(starts):
+        sender = rng.random((g.n_states, g.n_messages)) + 1e-3
+        senders.append(sender / sender.sum(axis=1, keepdims=True))
+        receiver = rng.random((g.n_messages, g.n_actions)) + 1e-3
+        receivers.append(receiver / receiver.sum(axis=1, keepdims=True))
+    sender, receiver = np.stack(senders), np.stack(receivers)
+    for _ in range(steps):
+        receiver = (1 - eta) * receiver + eta * uniform_over(near_best(bayes_values(sender)))
+        br = uniform_over(near_best(sender_values(receiver)))
+        sender = (1 - eta) * sender + eta * br
+    mass = sender * near_best(sender_values(first_best_reply(sender)))
+    polished = mass / mass.sum(axis=-1, keepdims=True)
+    return polished, first_best_reply(polished)
+
+
+class TestDynamicsStrides:
+    """_dynamics_candidates runs its damped steps in strides that guess
+    both best-reply masks and keep the prefix they verify; the result must
+    equal the plain step-by-step loop bit for bit."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_plain_step_loop(self, game_seed, rng_seed):
+        g = tied_game(game_seed)  # up to 5 x 4 x 4, ties and zero priors
+        [(senders, receivers)] = _dynamics_candidates(g, np.random.default_rng(rng_seed))
+        want_senders, want_receivers = reference_dynamics(g, np.random.default_rng(rng_seed))
+        assert senders.shape == want_senders.shape and receivers.shape == want_receivers.shape
+        assert senders.tobytes() == want_senders.tobytes()
+        assert receivers.tobytes() == want_receivers.tobytes()
+
+
+class TestBayesStack:
+    """_bayes of a sender stack equals _bayes of each slice alone, whether
+    or not the slice leaves a message unused."""
+
+    def game(self):
+        return Game(states=("s0", "s1", "s2", "s3"), prior=np.array([0.3, 0.0, 0.5, 0.2]),
+                    messages=("m0", "m1", "m2"), actions=("a0", "a1", "a2"),
+                    payoff=np.random.default_rng(4).random((4, 3)))
+
+    def stack(self, seed):
+        rng = np.random.default_rng(seed)
+        senders = rng.random((6, 4, 3)) + 0.01
+        senders[1, :, 2] = 0.0  # m2 unused
+        senders[3, :, 0] = 0.0  # m0 unused ...
+        senders[3, :, 2] = 0.0
+        senders[3, 1] = [0.0, 0.0, 1.0]  # ... and m2 sent only by the zero-prior state
+        senders[4, :, 1:] = 0.0  # only m0 used
+        return senders / senders.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_slice_equals_its_own_call(self, seed):
+        g, senders = self.game(), self.stack(seed)
+        use, values = _bayes(g, senders)
+        unused = use == 0
+        assert unused.any(axis=-1).tolist() == [False, True, False, True, True, False]
+        assert unused[3].tolist() == [True, False, True]
+        for k, sender in enumerate(senders):
+            want_use, want_values = _bayes(g, sender)
+            assert use[k].tobytes() == want_use.tobytes()
+            assert values[k].tobytes() == want_values.tobytes()
+        prior_values = g.prior @ g.payoff
+        for k, m in zip(*np.nonzero(unused)):
+            assert values[k, m].tobytes() == prior_values.tobytes()
+        # a second batch axis, as the strided dynamics use, changes nothing
+        use4, values4 = _bayes(g, senders.reshape(2, 3, 4, 3))
+        assert use4.tobytes() == use.tobytes() and values4.tobytes() == values.tobytes()
+
+    def test_used_rows_equal_each_posterior_times_payoff(self):
+        g, senders = self.game(), self.stack(0)
+        use, values = _bayes(g, senders)
+        for k, m in zip(*np.nonzero(use > 0)):
+            posterior = g.prior * senders[k, :, m] / use[k, m]
+            assert values[k, m].tobytes() == (posterior @ g.payoff).tobytes()
 
 
 class TestDominanceErrors:
