@@ -172,8 +172,16 @@ def _one_hot(indices, n: int) -> np.ndarray:
 
 
 def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of each row's entries within tol of the row maximum."""
-    return values >= np.maximum.reduce(values, axis=-1, keepdims=True) - tol
+    """Mask of each row's entries within tol of the row maximum.
+
+    The maximum is taken column by column: a reduction along the short
+    last axis runs a loop per row, many times slower on a stack, and a
+    maximum is exact either way.
+    """
+    best = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        best = np.maximum(best, values[..., j])
+    return values >= best[..., None] - tol
 
 
 def _uniform_over(mask: np.ndarray) -> np.ndarray:
@@ -446,16 +454,17 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
         push_s = eta * _uniform_over(ms)
         sender = (1 - eta) * sender + push_s
         done += 1
+        push = np.concatenate((push_s, push_r), axis=None)
         while done < steps:
             n = min(stride, steps - done)
-            sender_path = np.empty((n + 1, *sender.shape))
-            receiver_path = np.empty((n + 1, *receiver.shape))
-            sender_path[0], receiver_path[0] = sender, receiver
+            # one row per step: the sender's entries, then the receiver's
+            path = np.empty((n + 1, push.size))
+            path[0] = np.concatenate((sender, receiver), axis=None)
             for k in range(n):
-                np.multiply(sender_path[k], 1 - eta, out=sender_path[k + 1])
-                sender_path[k + 1] += push_s
-                np.multiply(receiver_path[k], 1 - eta, out=receiver_path[k + 1])
-                receiver_path[k + 1] += push_r
+                np.multiply(path[k], 1 - eta, out=path[k + 1])
+                path[k + 1] += push
+            sender_path = path[:, :sender.size].reshape(n + 1, *sender.shape)
+            receiver_path = path[:, sender.size:].reshape(n + 1, *receiver.shape)
             # step k holds if sender_path[k] gives mr and the receiver it made,
             # receiver_path[k + 1], gives ms
             same_r = _near_best(_bayes(g, sender_path[:n])[1], _TIE_TOL) == mr
