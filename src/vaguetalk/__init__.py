@@ -16,8 +16,8 @@ from .messages import (Message, Exact, Between, AtLeast, AtMost, Around, Thresho
                        precise_alternatives, vague_alternatives, message_from_json,
                        parse_message, MissingParameter, MessageParseError)
 from .listener import (IndependentPrior, ExplicitJointPrior, JointPrior,
-                       literal_update, literal_interpreter, around_closed_form,
-                       tall_closed_form, closed_form_posterior, ZeroPosterior,
+                       literal_update, around_closed_form, tall_closed_form,
+                       closed_form_posterior, ZeroPosterior,
                        NonUniformPreconditionViolated, MissingParamPrior)
 from .speaker import (Observation, SpeakerStrategy, utility, utility_table,
                       best_message, best_index, softmax_speaker,

@@ -11,15 +11,16 @@ a product, one t prior per vague kind. ``ExplicitJointPrior`` carries a
 full (x, t) probability matrix for a single kind, for experiments where
 the independence assumption is dropped.
 
-Closed forms for the two uniform textbook cases (``around_closed_form``,
-``tall_closed_form``) are exposed both as index-grid formulas and via
-``closed_form_posterior``, which checks the uniformity preconditions
-against an actual prior before using them.
+Every posterior the package serves is a row of that update. The closed
+forms for the two uniform textbook cases (``around_closed_form``,
+``tall_closed_form``, and ``closed_form_posterior``, which first checks
+their uniformity preconditions against an actual prior) are special cases
+of it, kept as independent checks: reports and tests ask for them by name,
+and scenario mode "closedform" uses only their precondition errors.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
@@ -35,7 +36,6 @@ __all__ = [
     "ExplicitJointPrior",
     "JointPrior",
     "literal_update",
-    "literal_interpreter",
     "around_closed_form",
     "tall_closed_form",
     "closed_form_posterior",
@@ -215,15 +215,6 @@ def literal_update(prior: JointPrior, m: Message) -> Dist:
     return Dist(grid, matrix[0])
 
 
-def literal_interpreter(prior: JointPrior) -> Callable[[Message], Dist]:
-    """Memoized Message -> posterior function for speaker-side argmin loops."""
-    @functools.cache
-    def interpret(m: Message) -> Dist:
-        return literal_update(prior, m)
-
-    return interpret
-
-
 def around_closed_form(n_index: int) -> Dist:
     """Tent posterior for "around n" at index scale.
 
@@ -270,65 +261,37 @@ def _grid_step(support: np.ndarray) -> float:
     return float(steps[0])
 
 
-def _closed_forms(prior: JointPrior, menu: Sequence[Message]) -> list[np.ndarray | Exception]:
-    """What closed_form_posterior gives for each message of menu: the closed-form
-    probabilities, or the error it raises.
-
-    The preconditions on the prior as a whole (independent, uniform x prior,
-    evenly spaced grid) and on each kind's t prior are checked once.
-    """
-    try:
-        if not isinstance(prior, IndependentPrior):
-            raise NonUniformPreconditionViolated("closed forms assume an independent prior")
-        if not _is_uniform(prior.x):
-            raise NonUniformPreconditionViolated("x prior is not uniform")
-        xs = prior.x.support
-        step = _grid_step(xs)
-    except NonUniformPreconditionViolated as exc:
-        return [exc] * len(menu)
-    n2 = len(xs) - 1
-    t_checks: dict = {}
-
-    def t_check(m: Message, expected: np.ndarray, text: str) -> Exception | None:
-        """The error of m's t prior against the one the closed form assumes."""
-        key = (m.param_kind, text)
-        if key not in t_checks:
-            try:
-                t = prior.t_prior_for(m)
-                ok = _is_uniform(t) and np.array_equal(t.support, expected)
-                t_checks[key] = None if ok else NonUniformPreconditionViolated(text)
-            except ValueError as exc:
-                t_checks[key] = exc
-        return t_checks[key]
-
-    out: list[np.ndarray | Exception] = []
-    for m in menu:
-        if isinstance(m, Around):
-            if n2 % 2 != 0:
-                out.append(NonUniformPreconditionViolated("around form needs an odd-size grid"))
-            elif m.center != xs[n2 // 2]:
-                out.append(NonUniformPreconditionViolated(
-                    f"around form assumes the center at the grid midpoint {xs[n2 // 2]:g}"))
-            else:
-                out.append(t_check(m, step * np.arange(n2 // 2 + 1),
-                                   "halo prior must be uniform on 0..n*step at the grid step")
-                           or around_closed_form(n2 // 2).probs)
-        elif isinstance(m, Threshold) and m.polarity == ">=":
-            out.append(t_check(m, xs, "threshold prior must be uniform on the world grid itself")
-                       or tall_closed_form(n2).probs)
-        else:
-            out.append(NonUniformPreconditionViolated(f"no closed form for {m.label!r}"))
-    return out
-
-
 def closed_form_posterior(prior: IndependentPrior, m: Message) -> Dist:
     """Dispatch to the matching closed form, verifying its preconditions.
 
     Raises NonUniformPreconditionViolated unless the prior sits in the
-    exact uniform setting the formula was derived for. Used by scenario
-    mode "closedform"; mode "auto" falls back to literal_update instead.
+    exact uniform setting the formula was derived for. Scenario mode
+    "closedform" calls it only for these errors: every mode serves the
+    message's literal_update row.
     """
-    probs, = _closed_forms(prior, (m,))
-    if isinstance(probs, Exception):
-        raise probs
-    return Dist(prior.x.support, probs)
+    if not isinstance(prior, IndependentPrior):
+        raise NonUniformPreconditionViolated("closed forms assume an independent prior")
+    if not _is_uniform(prior.x):
+        raise NonUniformPreconditionViolated("x prior is not uniform")
+    xs = prior.x.support
+    step = _grid_step(xs)
+    if isinstance(m, Around):
+        n2 = len(xs) - 1
+        if n2 % 2 != 0:
+            raise NonUniformPreconditionViolated("around form needs an odd-size grid")
+        n = n2 // 2
+        if m.center != xs[n]:
+            raise NonUniformPreconditionViolated(
+                f"around form assumes the center at the grid midpoint {xs[n]:g}")
+        t = prior.t_prior_for(m)
+        if not _is_uniform(t) or not np.array_equal(t.support, step * np.arange(n + 1)):
+            raise NonUniformPreconditionViolated(
+                "halo prior must be uniform on 0..n*step at the grid step")
+        return Dist(xs, around_closed_form(n).probs)
+    if isinstance(m, Threshold) and m.polarity == ">=":
+        t = prior.t_prior_for(m)
+        if not _is_uniform(t) or not np.array_equal(t.support, xs):
+            raise NonUniformPreconditionViolated(
+                "threshold prior must be uniform on the world grid itself")
+        return Dist(xs, tall_closed_form(len(xs) - 1).probs)
+    raise NonUniformPreconditionViolated(f"no closed form for {m.label!r}")

@@ -29,8 +29,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .listener import (IndependentPrior, NonUniformPreconditionViolated, _closed_forms,
-                       _literal_outcomes, _literal_rows, closed_form_posterior, literal_update)
+from .listener import (IndependentPrior, _literal_outcomes, _literal_rows,
+                       closed_form_posterior, literal_update)
 from .messages import (Around, AtLeast, AtMost, Between, Message, TALL,
                        denotation, precise_alternatives, vague_alternatives)
 from .prob import Dist, _dist_rows, _kl_rows, kl_divergence, normalize, uniform
@@ -143,12 +143,11 @@ class Scenario:
         raise KeyError(f"no observation named {obs_id!r}")
 
     def interpreter(self) -> Callable[[Message], Dist]:
-        """Message -> posterior under the scenario's listener mode.
+        """Message -> posterior: the message's row of the literal listener.
 
-        "bruteforce" always marginalizes the joint; "closedform" insists
-        on the uniform closed forms for vague messages (and errors
-        outside their preconditions); "auto" uses a closed form when its
-        preconditions hold and falls back to the joint otherwise.
+        "auto" and "bruteforce" serve the same rows. "closedform" serves
+        them too, but first raises the error closed_form_posterior gives
+        for a vague message outside the uniform closed-form setting.
 
         The first call builds the posterior of every menu message at once;
         each message still raises its own error only when it is asked for.
@@ -175,18 +174,17 @@ class Scenario:
 
 def _menu_posteriors(prior: IndependentPrior, menu: Sequence[Message],
                      mode: str) -> list[Dist | Exception]:
-    """The posterior of each menu message under a listener mode, or the error
-    that asking for it raises: the closed form where the mode takes one,
-    else the message's L0 row."""
+    """The L0 row of each menu message, or the error that asking for it
+    raises; in mode "closedform" a vague message's closed-form precondition
+    error comes first."""
     xs, L0, errors = _literal_outcomes(prior, menu)
-    if mode != "bruteforce":
-        vague = [j for j, m in enumerate(menu) if m.vague]
-        for j, closed in zip(vague, _closed_forms(prior, [menu[j] for j in vague])):
-            if not isinstance(closed, Exception):
-                L0[j] = closed
-                errors.pop(j, None)
-            elif mode == "closedform" or not isinstance(closed, NonUniformPreconditionViolated):
-                errors[j] = closed
+    if mode == "closedform":
+        for j, m in enumerate(menu):
+            if m.vague:
+                try:
+                    closed_form_posterior(prior, m)
+                except ValueError as exc:
+                    errors[j] = exc
     rows = iter(_dist_rows(xs, L0[[j for j in range(len(menu)) if j not in errors]]))
     return [errors[j] if j in errors else next(rows) for j in range(len(menu))]
 
@@ -240,7 +238,6 @@ def tall_gaussian_scenario() -> Scenario:
         observations=(Observation("o1", Dist(grid, P_O_TALL)),),
         weights=(1.0,),
         menu=TALL_MENU,
-        listener_mode="bruteforce",  # the closed forms assume uniform priors
     )
 
 
@@ -294,23 +291,17 @@ def concentration_pairs_ok(prior: Dist, posterior: Dist, center_index: int) -> b
     return True
 
 
-def _fmt_inf(x: float):
-    # JSON has no inf literal; the CLI layer relies on this sentinel
-    return "-inf" if x == -math.inf else ("inf" if x == math.inf else float(x))
-
-
 def _menu_report(sc: Scenario, o: Observation, interpret: Callable[[Message], Dist]) -> list[dict]:
     posteriors = [interpret(m) for m in sc.menu]
     utilities = utility_table(o, sc.menu, interpret)
     rows = []
     for m, post, u in zip(sc.menu, posteriors, utilities.tolist()):
-        kl = -u
         rows.append({
             "label": m.label,
             "message": m.to_json(),
             "posterior": post.probs.tolist(),
-            "kl": _fmt_inf(kl),
-            "utility": _fmt_inf(-kl),
+            "kl": -u,
+            "utility": u,
         })
     return rows
 
@@ -535,9 +526,9 @@ def optimality_search(kind: str = "around", family: str = "default",
             "index": i,
             "p_o": [float(v) for v in probs],
             "vague_message": menu[vague_idx[i]].label,
-            "vague_utility": _fmt_inf(best_vague),
+            "vague_utility": best_vague,
             "best_precise_message": menu[precise_idx[i]].label,
-            "best_precise_utility": _fmt_inf(best_precise),
+            "best_precise_utility": best_precise,
             "margin": margin,
         })
     return {

@@ -329,6 +329,72 @@ def test_oversize_scenario_exits_5(capsys, tmp_path, size, argv):
     assert "over the budget of 1e+07" in err
 
 
+#: scenario files for the exit-code table, written to its working directory
+TABLE_FILES = {
+    "hopeless.json": {  # no message is true of the whole observation
+        "grid": {"min": 0, "max": 20, "step": 10, "unit": "u"},
+        "observations": [{"id": "o", "probs": [0.5, 0.0, 0.5], "weight": 1}],
+        "menu": [{"kind": "exact", "args": [0]}],
+    },
+    "closedform.json": {  # closed-form mode outside the uniform setting
+        "grid": {"min": 0, "max": 80, "step": 10, "unit": "persons"},
+        "x_prior": TENT,
+        "observations": [{"id": "o1", "probs": [0.0, 0.01, 0.01, 0.16, 0.64, 0.16,
+                                                0.01, 0.01, 0.0], "weight": 1}],
+        "menu": [{"kind": "around", "args": [40]}, {"kind": "between", "args": [10, 70]}],
+        "mode": "closedform",
+    },
+    "oversize.json": {
+        "grid": {**OVERSIZE["grid"][0], "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": OVERSIZE["grid"][1],
+    },
+}
+
+#: every documented exit code each subcommand can reach; only speak honours
+#: "mode", so the closed-form file fails there alone
+EXIT_CODES = [
+    (("posterior", ATTENDANCE, "around 40"), 0),
+    (("posterior", "closedform.json", "around 40"), 0),
+    (("posterior", ATTENDANCE, "roughly 40"), 2),
+    (("posterior", ATTENDANCE, "between 90 100"), 3),
+    (("posterior", "oversize.json", "tall"), 5),
+    (("speak", ATTENDANCE), 0),
+    (("speak", ATTENDANCE, "--observation", "nosuch"), 2),
+    (("speak", "closedform.json"), 3),
+    (("speak", "hopeless.json"), 4),
+    (("speak", "oversize.json"), 5),
+    (("ibr", ATTENDANCE), 0),
+    (("ibr", "closedform.json"), 0),
+    (("ibr", "no_such_file.json"), 2),
+    (("ibr", ATTENDANCE, "--no-fallback"), 3),
+    (("ibr", "hopeless.json"), 4),
+    (("ibr", "oversize.json"), 5),
+    (("game", HEIGHTS, "enumerate"), 0),
+    (("game", "random", "enumerate"), 2),
+    (("game", HEIGHTS, "precision", "--pure"), 3),
+    (("game", HEIGHTS, "enumerate", "--budget", "10"), 5),
+    (("scenario", "tall-uniform"), 0),
+    (("scenario", "no-such-report"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[
+    "-".join([argv[0], str(code)] + [pathlib.Path(a).stem.replace(" ", "_") for a in argv[1:]])
+    for argv, code in EXIT_CODES])
+def test_documented_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
+    for name, obj in TABLE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == "" and "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 class TestScenario:
     def test_around_table1_json(self, capsys):
         code, out, _ = run(capsys, "scenario", "around-table1")

@@ -10,9 +10,9 @@ from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exac
                        ExplicitJointPrior, IndependentPrior, Message, MissingParamPrior,
                        NonUniformPreconditionViolated, Threshold, ZeroPosterior,
                        around_closed_form, closed_form_posterior, denotation,
-                       joint_enumeration_posterior, literal_interpreter,
-                       literal_listener_strategy, literal_update, precise_alternatives,
-                       tall_closed_form, uniform, vague_alternatives)
+                       joint_enumeration_posterior, literal_listener_strategy,
+                       literal_update, precise_alternatives, tall_closed_form, uniform,
+                       vague_alternatives)
 from vaguetalk.listener import _literal_rows
 
 GRID = np.arange(0.0, 81.0, 10.0)
@@ -232,12 +232,6 @@ class TestClosedForms:
             closed_form_posterior(p, Threshold("<"))
         with pytest.raises(NonUniformPreconditionViolated):
             closed_form_posterior(table_prior(), Between(10.0, 70.0))
-
-
-def test_interpreter_memoizes():
-    interp = literal_interpreter(table_prior())
-    a = interp(Around(40.0))
-    assert interp(Around(40.0)) is a
 
 
 @st.composite

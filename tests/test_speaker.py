@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vaguetalk import (DEFAULT_LAMBDA, Around, AtLeast, Between, Dist, Exact,
                        IndependentPrior, NoTruthfulMessage, Observation,
                        SpeakerStrategy, SupportMismatch, ZeroPosterior, best_index,
-                       best_message, kl_divergence, literal_interpreter,
+                       best_message, kl_divergence, literal_update,
                        softmax_speaker, uniform, utility, utility_table)
 
 GRID = np.arange(0.0, 81.0, 10.0)
@@ -20,7 +20,7 @@ PRIOR = IndependentPrior(uniform(GRID), {"around": uniform(np.arange(0.0, 41.0, 
 
 @pytest.fixture
 def interp():
-    return literal_interpreter(PRIOR)
+    return lambda m: literal_update(PRIOR, m)
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ class TestUtilityTable:
     @given(observations_with_zeros())
     @settings(max_examples=100)
     def test_is_minus_kl_per_message(self, o):
-        interp = literal_interpreter(PRIOR)
+        interp = lambda m: literal_update(PRIOR, m)
         expected = []
         for m in TABLE_MENU:
             try:
@@ -94,7 +94,8 @@ class TestUtilityTable:
         assert utility_table(obs, (), interp).shape == (0,)
 
     def test_interpreter_on_another_grid_raises(self, obs):
-        wider = literal_interpreter(IndependentPrior(uniform(np.arange(0.0, 91.0, 10.0))))
+        wider_prior = IndependentPrior(uniform(np.arange(0.0, 91.0, 10.0)))
+        wider = lambda m: literal_update(wider_prior, m)
         with pytest.raises(SupportMismatch):
             utility_table(obs, (Exact(90.0), Between(10.0, 70.0)), wider)
         with pytest.raises(SupportMismatch):
@@ -120,7 +121,7 @@ class TestBestMessage:
     def test_tie_prefers_vague_over_lower_index(self):
         grid = np.arange(3.0)
         prior = IndependentPrior(uniform(grid), {"around": uniform([0.0, 1.0])})
-        it = literal_interpreter(prior)
+        it = lambda m: literal_update(prior, m)
         tent = it(Around(1.0))
         o = Observation("tent", tent)
         # exact tie: the around message reproduces o.dist, and so does
@@ -179,7 +180,7 @@ class TestSoftmaxSpeaker:
     def test_larger_lambda_concentrates(self, lam1, lam2):
         prior = IndependentPrior(
             uniform(GRID), {"around": uniform(np.arange(0.0, 41.0, 10.0))})
-        it = literal_interpreter(prior)
+        it = lambda m: literal_update(prior, m)
         o = Observation("o1", Dist(GRID, P_O))
         menu = [Between(10.0, 70.0), Around(40.0)]
         lo, hi = sorted([lam1, lam2])
