@@ -39,6 +39,7 @@ from .speaker import NoTruthfulMessage, best_index, softmax_speaker, utility_tab
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
 EXIT_NO_TRUTHFUL = 4
@@ -454,7 +455,12 @@ def _parser(vs_seed: str | None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser(os.environ.get("VS_SEED")).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # reader gone (`| head`): the SIGPIPE note of the Python docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (schema.SchemaError, MessageParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,6 +10,10 @@ Messages no observation sends have an undefined Bayes row; by default
 they keep their literal row so every message stays interpretable, with a
 toggle to make dead messages a hard error instead.
 
+With that fallback, L_k keeps L0's row, bit for bit, for each message S_k
+does not send; as a message's utility reads only its row, ``iterate``
+computes the L0 utilities once and then recomputes only the sent columns.
+
 Iteration stops when two consecutive (S, L) pairs agree within tol in
 max-norm, when a previously seen pair recurs (a cycle, reported as
 non-convergence), or at max_levels. ``check_fixed_point`` independently
@@ -21,7 +25,7 @@ response to S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -96,24 +100,43 @@ class RecursionTrace:
         return s, listener
 
 
+def _built(cls, *values):
+    """``cls(*values)`` for arrays the library made and checked: frozen in place, no copy."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
 def literal_listener_strategy(prior: JointPrior, menu: Sequence[Message]) -> ListenerStrategy:
     """Level-0 rows: the literal posterior for each menu message."""
-    return ListenerStrategy(*_literal_rows(prior, menu))
+    return _built(ListenerStrategy, *_literal_rows(prior, menu))
 
 
-def _utilities(observations: Sequence[Observation], L: ListenerStrategy) -> np.ndarray:
-    """The (n_obs, n_msgs) matrix -KL(P_o || L_m), -inf on truthfulness violations."""
+def _utilities(observations: Sequence[Observation], L: ListenerStrategy,
+               rows=slice(None)) -> np.ndarray:
+    """The (n_obs, n_rows) matrix -KL(P_o || L_m), -inf on truthfulness violations."""
     for o in observations:
         if not np.array_equal(o.dist.support, L.grid):
             raise SupportMismatch(f"observation {o.id!r} is not on the listener's grid")
-    return -np.stack([_kl_rows(o.dist.probs, L.matrix) for o in observations])
+    p = np.stack([o.dist.probs for o in observations])
+    q = L.matrix[rows]
+    shared = np.all((p > 0) == (p[0] > 0))  # one support mask: one stacked call
+    return -(_kl_rows(p, q) if shared else np.stack([_kl_rows(row, q) for row in p]))
 
 
 def speaker_response(L: ListenerStrategy, observations: Sequence[Observation],
                      menu: Sequence[Message], mode: str = "hardmax",
                      lam: float | None = None) -> SpeakerStrategy:
     """Best (or softmax) response to a listener, one row per observation."""
-    utilities = _utilities(observations, L)
+    return _speaker_from(_utilities(observations, L), observations, menu, mode, lam)
+
+
+def _speaker_from(utilities: np.ndarray, observations: Sequence[Observation],
+                  menu: Sequence[Message], mode: str, lam: float | None) -> SpeakerStrategy:
+    """The (hard or softmax) response to an (n_obs, n_msgs) utility table."""
     rows = np.zeros_like(utilities)
     for i, (o, u) in enumerate(zip(observations, utilities)):
         if np.max(u) == -math.inf:
@@ -126,7 +149,7 @@ def speaker_response(L: ListenerStrategy, observations: Sequence[Observation],
             rows[i] = softmax(u, lam)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-    return SpeakerStrategy(tuple(o.id for o in observations), rows)
+    return _built(SpeakerStrategy, tuple(o.id for o in observations), rows)
 
 
 def _observation_weights(weights: Sequence[float],
@@ -148,25 +171,30 @@ def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
     normalized. Rows with zero total use the matching fallback row, or
     raise DeadMessageNoFallback when no fallback is given.
     """
+    return _bayes_rows(S, observations, weights, fallback)[0]
+
+
+def _bayes_rows(S: SpeakerStrategy, observations: Sequence[Observation],
+                weights: Sequence[float], fallback: ListenerStrategy | None
+                ) -> tuple[ListenerStrategy, np.ndarray]:
+    """``listener_response``, and which messages S sends (all without a fallback)."""
     w = _observation_weights(weights, observations)
-    grid = observations[0].dist.support
+    grids = [o.dist.support for o in observations] + ([fallback.grid] if fallback else [])
+    if not all(np.array_equal(g, grids[0]) for g in grids):
+        raise SupportMismatch("observations and the fallback must share one grid")
+    if len(S.matrix) != len(observations) or \
+            (fallback and len(fallback.matrix) != S.matrix.shape[1]):
+        raise ValueError("speaker needs one row per observation, fallback one row per message")
     p_obs = np.stack([o.dist.probs for o in observations])  # (n_obs, n_grid)
-    raw = S.matrix.T @ (w[:, None] * p_obs)  # (n_msgs, n_grid)
-    totals = raw.sum(axis=1)
+    matrix = S.matrix.T @ (w[:, None] * p_obs)  # (n_msgs, n_grid), unnormalised
+    totals = matrix.sum(axis=1)
     sent = totals > 0
     if fallback is None and not np.all(sent):
         raise DeadMessageNoFallback(f"message index {np.flatnonzero(~sent)[0]} is never sent")
-    matrix = raw / np.where(sent, totals, 1.0)[:, None]
+    np.divide(matrix, totals[:, None], out=matrix, where=sent[:, None])
     if fallback is not None:
-        matrix = np.where(sent[:, None], matrix, fallback.matrix)
-    return ListenerStrategy(grid, matrix)
-
-
-def _pair_diff(a: tuple[SpeakerStrategy, ListenerStrategy],
-               b: tuple[SpeakerStrategy, ListenerStrategy]) -> float:
-    ds = float(np.max(np.abs(a[0].matrix - b[0].matrix)))
-    dl = float(np.max(np.abs(a[1].matrix - b[1].matrix)))
-    return max(ds, dl)
+        np.copyto(matrix, fallback.matrix, where=~sent[:, None])
+    return _built(ListenerStrategy, grids[0], matrix), sent
 
 
 def iterate(prior: JointPrior, menu: Sequence[Message],
@@ -191,14 +219,19 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
                            converged=False, fixed_point_level=None)
     fallback = L0 if dead_message_fallback else None
     seen: dict[bytes, int] = {}
-    prev: tuple[SpeakerStrategy, ListenerStrategy] | None = None
-    L = L0
+    prev: tuple[SpeakerStrategy, ListenerStrategy, np.ndarray] | None = None
+    u0 = _utilities(observations, L0)
+    L, sent = L0, np.zeros(len(menu), dtype=bool)
     for level in range(1, max_levels + 1):
-        S = speaker_response(L, observations, menu, mode=mode, lam=lam)
-        L = listener_response(S, observations, weights, fallback)
+        utilities = u0.copy()  # L's unsent rows are L0's, so only sent columns change
+        utilities[:, sent] = _utilities(observations, L, sent)
+        S = _speaker_from(utilities, observations, menu, mode, lam)
+        L, sent = _bayes_rows(S, observations, weights, fallback)
         trace.levels.append((S, L))
         if prev is not None:
-            diff = _pair_diff((S, L), prev)
+            rows = sent | prev[2]  # the other rows are L0's on both levels
+            diff = max(float(np.max(np.abs(S.matrix - prev[0].matrix))),
+                       float(np.max(np.abs(L.matrix[rows] - prev[1].matrix[rows]), initial=0.0)))
             trace.residuals.append(diff)
             if diff < tol:
                 trace.converged = True
@@ -209,7 +242,7 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
             trace.cycle_detected = True
             break
         seen[key] = level
-        prev = (S, L)
+        prev = (S, L, sent)
     return trace
 
 
@@ -269,7 +302,8 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
         raise ValueError(f"unknown mode {mode!r}")
     fallback = literal_listener_strategy(prior, menu) if dead_message_fallback else None
     bayes = listener_response(S, observations, weights, fallback)
-    listener_residual = float(np.max(np.abs(L.matrix - bayes.matrix)))
+    diff = L.matrix - bayes.matrix
+    listener_residual = float(np.max(np.abs(diff, out=diff)))
     return FixedPointReport(
         speaker_ok=speaker_residual <= tol,
         listener_ok=listener_residual <= tol,

@@ -201,7 +201,7 @@ def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     mask = p > 0 if p.ndim == 1 else p[0] > 0
     pm = p[mask] if p.ndim == 1 else p[:, None, mask]
-    qm = np.ascontiguousarray(rows[:, mask])
+    qm = np.ascontiguousarray(rows if mask.all() else rows[:, mask])
     # broadcasting a stack against qm need not give a C-ordered buffer
     out = None if p.ndim == 1 else np.empty((len(p),) + qm.shape)
     with np.errstate(divide="ignore"):

@@ -1,8 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from typing import Any
 
 import numpy as np
@@ -11,7 +15,8 @@ import pytest
 from vaguetalk import cli, games
 from vaguetalk.cli import build_parser, main
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
 ATTENDANCE = str(DATA / "attendance.json")
 TWO_MESSAGES = str(DATA / "attendance_two_messages.json")
 POINTMASS = str(DATA / "pointmass.json")
@@ -162,6 +167,37 @@ class TestIbr:
         report = json.loads(out)
         assert report["converged"] is False
         assert len(report["levels"]) == 2
+
+    # sha256 of `ibr <file> --mode softmax` stdout, recorded before iterate
+    # reused the L0 utility table across levels
+    @pytest.mark.parametrize("name, digest", [
+        ("attendance.json", "d17dff8637aa5f91ff33294a7b90e0bda38548020de68abbc833d6dfcddd3864"),
+        ("attendance_two_messages.json",
+         "7dc11543e62617456a38c762787628c3b9c9b7025a00715919629df9ddcf99c2"),
+        ("pointmass.json", "902c656a858db3d777e0c726123ea0b1c53ba400634f9fe97ebcc747957adb32"),
+        ("synonyms.json", "8ac1d657949e558e3152f3b11c8639679269ec1edbac3b7dd993313f5b9c349a"),
+    ])
+    def test_softmax_output_is_pinned(self, capsys, name, digest):
+        code, out, _ = run(capsys, "ibr", str(DATA / name), "--mode", "softmax")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # attendance writes 17 KB, so print itself meets the closed pipe; the
+    # 1 KB of attendance_two_messages stays buffered until main flushes it
+    @pytest.mark.parametrize("path", [ATTENDANCE, TWO_MESSAGES])
+    def test_closed_pipe_exits_1_without_a_traceback(self, path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "vaguetalk.cli", "ibr", path,
+                                   "--mode", "softmax"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestGame:

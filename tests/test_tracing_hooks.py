@@ -51,9 +51,16 @@ def test_wrapped_names_are_in_use(tracing):
         trace = ibr.iterate(sc.prior, sc.menu, sc.observations, sc.weights)
         S, L = trace.final
         ibr.expected_utility(S, L, sc.observations, sc.weights)
+        # iterate runs its levels on utility tables, without speaker_response;
+        # the softmax fixed-point check still calls it
+        ibr.check_fixed_point(S, L, sc.prior, sc.menu, sc.observations, sc.weights,
+                              mode="softmax", lam=4.0)
     names = {s.name for s in tracer.spans}
     assert {"listener.interpret", "listener.literal_update", "speaker.utility_table",
             "speaker.best_index", "ibr.speaker_response"} <= names
+    by_id = {s.id: s for s in tracer.spans}
+    assert {by_id[s.parent].name for s in tracer.spans
+            if s.name == "ibr.speaker_response"} == {"ibr.check_fixed_point"}
     assert 0 < kl_calls_in_report < tracer.counts["prob.kl_calls"]
 
 
