@@ -168,8 +168,8 @@ class TestIbr:
         assert report["converged"] is False
         assert len(report["levels"]) == 2
 
-    # sha256 of `ibr <file> --mode softmax` stdout, recorded before iterate
-    # reused the L0 utility table across levels
+    # sha256 of `ibr <file> --mode softmax` stdout, recorded from the dense
+    # recursion that computed a full utility table at every level
     @pytest.mark.parametrize("name, digest", [
         ("attendance.json", "d17dff8637aa5f91ff33294a7b90e0bda38548020de68abbc833d6dfcddd3864"),
         ("attendance_two_messages.json",

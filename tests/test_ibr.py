@@ -13,7 +13,7 @@ from vaguetalk import (Around, AtLeast, Between, DeadMessageNoFallback, Dist,
                        precise_alternatives, speaker_response, uniform,
                        vague_alternatives)
 from vaguetalk.ibr import FixedPointReport, RecursionTrace, _QUANTUM, _utilities
-from vaguetalk.listener import ZeroPosterior, _literal_rows
+from vaguetalk.listener import _literal_rows
 from vaguetalk.prob import _kl_rows, _quantized_key, softmax
 from vaguetalk.speaker import NoTruthfulMessage, _argmax_with_tiebreak
 
@@ -58,8 +58,8 @@ def speaker_listener_pairs(draw):
 
 
 def dense_listener_response(S, observations, weights, fallback):
-    """listener_response as it was before iterate reused the L0 utilities:
-    every row divided, np.where with the fallback, the checking constructor."""
+    """The Bayes listener computed densely: every row divided, np.where with
+    the fallback, the checking constructor."""
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
     p_obs = np.stack([o.dist.probs for o in observations])
@@ -136,7 +136,7 @@ def outcome(fn, *args, **kwargs):
     """fn's result, or the type and text of what it raised."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, ZeroPosterior) as e:
+    except ValueError as e:  # every library error here is one
         return type(e), str(e)
 
 
