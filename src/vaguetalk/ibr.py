@@ -11,8 +11,13 @@ they keep their literal row so every message stays interpretable, with a
 toggle to make dead messages a hard error instead.
 
 With that fallback, L_k keeps L0's row, bit for bit, for each message S_k
-does not send; as a message's utility reads only its row, ``iterate``
-computes the L0 utilities once and then recomputes only the sent columns.
+does not send, so only live and sent rows are computed. The Bayes product
+is taken for the messages S_k uses and written into a copy of L0. As a
+message's utility reads only its row, ``iterate`` computes the L0
+utilities once and then recomputes only the sent columns, and its cycle
+key records only the sent rows that round away from L0's. KL terms are
+computed only for live rows, those with no zero where the observation has
+mass; every other row is +inf, a truthfulness violation.
 
 Iteration stops when two consecutive (S, L) pairs agree within tol in
 max-norm, when a previously seen pair recurs (a cycle, reported as
@@ -33,7 +38,7 @@ import numpy as np
 from .listener import JointPrior, _literal_rows
 from .listener import literal_update  # noqa: F401  unused; perfbench/tracing.py wraps it by name
 from .messages import Message
-from .prob import (Dist, SupportMismatch, _kl_rows, _quantized_key, _stochastic_rows,
+from .prob import (Dist, SupportMismatch, _kl_rows, _quantized, _stochastic_rows,
                    kl_divergence, softmax)
 from .speaker import NoTruthfulMessage, Observation, SpeakerStrategy, _argmax_with_tiebreak
 
@@ -155,6 +160,8 @@ def _speaker_from(utilities: np.ndarray, observations: Sequence[Observation],
 def _observation_weights(weights: Sequence[float],
                          observations: Sequence[Observation]) -> np.ndarray:
     """One finite, nonnegative weight per observation, scaled to sum to 1."""
+    if not observations:
+        raise ValueError("observations must be nonempty")
     w = np.asarray(weights, dtype=float)
     if (w.shape != (len(observations),) or not np.all(np.isfinite(w))
             or np.any(w < 0) or not np.any(w > 0)):
@@ -169,32 +176,52 @@ def listener_response(S: SpeakerStrategy, observations: Sequence[Observation],
 
     Row for message m: sum over observations of w_o * P_o * S(m|o),
     normalized. Rows with zero total use the matching fallback row, or
-    raise DeadMessageNoFallback when no fallback is given.
+    raise DeadMessageNoFallback when no fallback is given. The returned
+    matrix is fresh: the fallback's is neither shared nor written.
     """
-    return _bayes_rows(S, observations, weights, fallback)[0]
-
-
-def _bayes_rows(S: SpeakerStrategy, observations: Sequence[Observation],
-                weights: Sequence[float], fallback: ListenerStrategy | None
-                ) -> tuple[ListenerStrategy, np.ndarray]:
-    """``listener_response``, and which messages S sends (all without a fallback)."""
     w = _observation_weights(weights, observations)
-    grids = [o.dist.support for o in observations] + ([fallback.grid] if fallback else [])
+    grid, rows = (None, None) if fallback is None else (fallback.grid, fallback.matrix.copy())
+    matrix, _ = _bayes_rows(S, observations, w, grid, rows)
+    return _built(ListenerStrategy, observations[0].dist.support, matrix)
+
+
+def _bayes_rows(S: SpeakerStrategy, observations: Sequence[Observation], w: np.ndarray,
+                fallback_grid: np.ndarray | None, rows: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The Bayes listener matrix for normalised weights ``w``, and which
+    messages S sends: those whose weighted total is positive.
+
+    The row of each sent message is written into ``rows``, a writable copy
+    of the fallback matrix on ``fallback_grid`` whose other rows stay as
+    they are. With ``rows`` None there is no fallback: every message must
+    be sent, and the rows go into a fresh matrix.
+    """
+    grids = [o.dist.support for o in observations] + ([fallback_grid] if rows is not None else [])
     if not all(np.array_equal(g, grids[0]) for g in grids):
         raise SupportMismatch("observations and the fallback must share one grid")
-    if len(S.matrix) != len(observations) or \
-            (fallback and len(fallback.matrix) != S.matrix.shape[1]):
+    n_msgs = S.matrix.shape[1]
+    if len(S.matrix) != len(observations) or (rows is not None and len(rows) != n_msgs):
         raise ValueError("speaker needs one row per observation, fallback one row per message")
     p_obs = np.stack([o.dist.probs for o in observations])  # (n_obs, n_grid)
-    matrix = S.matrix.T @ (w[:, None] * p_obs)  # (n_msgs, n_grid), unnormalised
-    totals = matrix.sum(axis=1)
-    sent = totals > 0
-    if fallback is None and not np.all(sent):
-        raise DeadMessageNoFallback(f"message index {np.flatnonzero(~sent)[0]} is never sent")
-    np.divide(matrix, totals[:, None], out=matrix, where=sent[:, None])
-    if fallback is not None:
-        np.copyto(matrix, fallback.matrix, where=~sent[:, None])
-    return _built(ListenerStrategy, grids[0], matrix), sent
+    # The product is taken only for the messages S uses. numpy hands a
+    # one-row product to gemv, not gemm, and gemv rounds otherwise; a second
+    # message kept beside a lone used one makes each row round as it does in
+    # the full product. (On a one-point grid every row normalises to 1.)
+    used = S.matrix.any(axis=0)
+    if np.count_nonzero(used) == 1:
+        used[(used.argmax() + 1) % n_msgs] = True
+    cols = np.flatnonzero(used)
+    raw = S.matrix[:, cols].T @ (w[:, None] * p_obs)  # (n_cols, n_grid), unnormalised
+    totals = raw.sum(axis=1)
+    live = totals > 0
+    sent = np.zeros(n_msgs, dtype=bool)
+    sent[cols[live]] = True
+    if rows is None:
+        if not np.all(sent):
+            raise DeadMessageNoFallback(f"message index {np.flatnonzero(~sent)[0]} is never sent")
+        rows = np.empty((n_msgs, p_obs.shape[1]))
+    rows[cols[live]] = raw[live] / totals[live, None]
+    return rows, sent
 
 
 def iterate(prior: JointPrior, menu: Sequence[Message],
@@ -214,11 +241,11 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
         raise ValueError("menu must be nonempty")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    w = _observation_weights(weights, observations)
     L0 = literal_listener_strategy(prior, menu)
     trace = RecursionTrace(menu=tuple(menu), levels=[(None, L0)],
                            converged=False, fixed_point_level=None)
-    fallback = L0 if dead_message_fallback else None
-    seen: dict[bytes, int] = {}
+    seen: dict[tuple[bytes, ...], int] = {}
     prev: tuple[SpeakerStrategy, ListenerStrategy, np.ndarray] | None = None
     u0 = _utilities(observations, L0)
     L, sent = L0, np.zeros(len(menu), dtype=bool)
@@ -226,7 +253,9 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
         utilities = u0.copy()  # L's unsent rows are L0's, so only sent columns change
         utilities[:, sent] = _utilities(observations, L, sent)
         S = _speaker_from(utilities, observations, menu, mode, lam)
-        L, sent = _bayes_rows(S, observations, weights, fallback)
+        matrix, sent = _bayes_rows(S, observations, w, L0.grid,
+                                   L0.matrix.copy() if dead_message_fallback else None)
+        L = _built(ListenerStrategy, observations[0].dist.support, matrix)
         trace.levels.append((S, L))
         if prev is not None:
             rows = sent | prev[2]  # the other rows are L0's on both levels
@@ -237,13 +266,27 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
                 trace.converged = True
                 trace.fixed_point_level = level - 1
                 break
-        key = _quantized_key(_QUANTUM, S.matrix, L.matrix)
+        key = _cycle_key(S, L, L0, sent)
         if key in seen:
             trace.cycle_detected = True
             break
         seen[key] = level
         prev = (S, L, sent)
     return trace
+
+
+def _cycle_key(S: SpeakerStrategy, L: ListenerStrategy, L0: ListenerStrategy,
+               sent: np.ndarray) -> tuple[bytes, bytes, bytes]:
+    """Key of (S, L) with entries rounded to multiples of _QUANTUM.
+
+    Two keys are equal iff the rounded S and the rounded L are. Rows S does
+    not send are L0's, so the key holds the rounded S, then the index and
+    rounded row of each sent row that rounds away from L0's row.
+    """
+    idx = np.flatnonzero(sent)
+    q = _quantized(_QUANTUM, L.matrix[idx])
+    moved = np.any(q != _quantized(_QUANTUM, L0.matrix[idx]), axis=1)
+    return _quantized(_QUANTUM, S.matrix).tobytes(), idx[moved].tobytes(), q[moved].tobytes()
 
 
 def expected_utility(S: SpeakerStrategy, L: ListenerStrategy,
@@ -255,6 +298,8 @@ def expected_utility(S: SpeakerStrategy, L: ListenerStrategy,
     reads as 0 here, matching the expectation over the sent lottery).
     """
     w = _observation_weights(weights, observations)
+    if S.matrix.shape != (len(observations), len(L.matrix)):
+        raise ValueError("speaker needs one row per observation and one column per message")
     total = 0.0
     for i, j in zip(*np.nonzero(S.matrix > 0)):
         u = -kl_divergence(observations[i].dist, L.row(j))
@@ -289,6 +334,10 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
     equal the Bayes response to S (with the same dead-message rule used
     by iterate) within tol.
     """
+    w = _observation_weights(weights, observations)
+    if S.matrix.shape != (len(observations), len(menu)) or len(L.matrix) != len(menu):
+        raise ValueError("speaker needs one row per observation and one column per message, "
+                         "listener one row per message")
     if mode == "hardmax":
         u = _utilities(observations, L)
         # inf when a sent message is untruthful; nan (skipped) when no message is truthful
@@ -300,9 +349,10 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
         speaker_residual = float(np.max(np.abs(S.matrix - ideal.matrix)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    fallback = literal_listener_strategy(prior, menu) if dead_message_fallback else None
-    bayes = listener_response(S, observations, weights, fallback)
-    diff = L.matrix - bayes.matrix
+    # one menu x grid buffer: a fresh L0, then the Bayes rows, then L minus them
+    grid, rows = _literal_rows(prior, menu) if dead_message_fallback else (None, None)
+    diff, _ = _bayes_rows(S, observations, w, grid, rows)
+    np.subtract(L.matrix, diff, out=diff)
     listener_residual = float(np.max(np.abs(diff, out=diff)))
     return FixedPointReport(
         speaker_ok=speaker_residual <= tol,

@@ -195,21 +195,26 @@ def _kl_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``KL(p || q)`` for every row ``q`` of ``rows``, as in ``kl_divergence``.
 
     ``p`` may also be a stack of distributions that share one support mask;
-    then row s of the result is the call on ``p[s]``. The masked matrix is
-    made C-contiguous, and the terms are computed in one C-ordered buffer, so
-    each row sums as it would alone.
+    then row s of the result is the call on ``p[s]``. Only live rows, those
+    with no zero on the mask, get terms; every other row is ``inf`` with no
+    divide or log. The masked live rows are made one C-contiguous matrix,
+    and their terms are computed in one C-ordered buffer, so each row sums
+    as it would alone.
     """
     mask = p > 0 if p.ndim == 1 else p[0] > 0
     pm = p[mask] if p.ndim == 1 else p[:, None, mask]
-    qm = np.ascontiguousarray(rows if mask.all() else rows[:, mask])
+    zero = rows == 0
+    dead = np.any(zero if mask.all() else zero[:, mask], axis=1)
+    live = rows[~dead] if dead.any() else rows
+    qm = np.ascontiguousarray(live if mask.all() else live[:, mask])
     # broadcasting a stack against qm need not give a C-ordered buffer
     out = None if p.ndim == 1 else np.empty((len(p),) + qm.shape)
     with np.errstate(divide="ignore"):
         terms = np.divide(pm, qm, out=out)
         np.log(terms, out=terms)
     terms *= pm
-    kl = terms.sum(axis=-1)
-    kl[..., np.any(qm == 0, axis=1)] = INF
+    kl = np.full(p.shape[:-1] + dead.shape, INF)
+    kl[..., ~dead] = terms.sum(axis=-1)
     return kl
 
 
@@ -245,9 +250,14 @@ def _is_pure(matrix: np.ndarray) -> bool:
     return bool(np.all((matrix == 0.0) | (matrix == 1.0)))
 
 
+def _quantized(quantum: float, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` in integer multiples of ``quantum``, rounded to the nearest."""
+    return np.round(matrix / quantum).astype(np.int64)
+
+
 def _quantized_key(quantum: float, *matrices: np.ndarray) -> bytes:
     """Hashable key of the matrices with entries rounded to multiples of quantum."""
-    return b"|".join(np.round(m / quantum).astype(np.int64).tobytes() for m in matrices)
+    return b"|".join(_quantized(quantum, m).tobytes() for m in matrices)
 
 
 def surprisal(p: Dist, k: float) -> float:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguetalk import (Around, AtLeast, Between, DeadMessageNoFallback, Dist,
+from vaguetalk import (Around, AtLeast, AtMost, Between, DeadMessageNoFallback, Dist,
                        IndependentPrior, ListenerStrategy, Observation,
                        SpeakerStrategy, SupportMismatch, check_fixed_point,
                        expected_utility, iterate, kl_divergence, listener_response,
                        literal_listener_strategy, literal_update,
                        precise_alternatives, speaker_response, uniform,
                        vague_alternatives)
-from vaguetalk.ibr import FixedPointReport, RecursionTrace, _QUANTUM, _utilities
+from vaguetalk.ibr import FixedPointReport, RecursionTrace, _QUANTUM, _cycle_key, _utilities
 from vaguetalk.listener import _literal_rows
 from vaguetalk.prob import _kl_rows, _quantized_key, softmax
 from vaguetalk.speaker import NoTruthfulMessage, _argmax_with_tiebreak
@@ -293,6 +293,56 @@ class TestResponses:
         with pytest.raises(DeadMessageNoFallback):
             listener_response(S, [o], [1.0], fallback=None)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bayes_rows_match_the_dense_product_bit_for_bit(self, data):
+        # the product is taken only for the messages S uses; with one used
+        # message numpy would hand it to gemv, which rounds otherwise than
+        # the gemm of the full product
+        n = data.draw(st.sampled_from([1, 2, 3, 6]))
+        n_msgs = data.draw(st.integers(min_value=1, max_value=9))
+        n_obs = data.draw(st.integers(min_value=1, max_value=4))
+        grid = np.arange(float(n))
+        obs = [Observation(f"o{i}", Dist(grid, row))
+               for i, row in enumerate(data.draw(stochastic_rows(n_obs, n)))]
+        used = data.draw(st.sampled_from(["any", "one", "all but one"]))
+        j = data.draw(st.integers(min_value=0, max_value=n_msgs - 1))
+        if used == "one":  # rows a hair off 1
+            rows = np.zeros((n_obs, n_msgs))
+            rows[:, j] = data.draw(st.lists(st.floats(min_value=1 - 5e-10, max_value=1 + 5e-10),
+                                            min_size=n_obs, max_size=n_obs))
+        else:
+            rows = data.draw(stochastic_rows(n_obs, n_msgs))
+            if used == "all but one" and n_msgs > 1:
+                rows = np.maximum(rows, 0.01)
+                rows[:, j] = 0.0
+                rows /= rows.sum(axis=1, keepdims=True)
+        S = SpeakerStrategy(tuple(o.id for o in obs), rows)
+        weights = data.draw(st.lists(st.floats(min_value=0.0, max_value=3.0),
+                                     min_size=n_obs, max_size=n_obs).filter(any))
+        fallback = ListenerStrategy(grid, data.draw(stochastic_rows(n_msgs, n)))
+        for fb in (fallback, None):
+            got = outcome(listener_response, S, obs, weights, fb)
+            want = outcome(dense_listener_response, S, obs, weights, fb)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(speaker_listener_pairs(), st.sampled_from(["hardmax", "softmax"]))
+    def test_caller_arrays_are_left_alone(self, case, mode):
+        menu, prior, obs, S, L = case
+        fallback = ListenerStrategy(L.grid, L.matrix[::-1])
+        arrays = [S.matrix, L.matrix, L.grid, fallback.matrix, fallback.grid]
+        before = [(a.tobytes(), a.flags.writeable) for a in arrays]
+        got = outcome(listener_response, S, obs, [1.0] * len(obs), fallback)
+        outcome(check_fixed_point, S, L, prior, menu, obs, [1.0] * len(obs), mode=mode, lam=2.0)
+        assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before
+        if not isinstance(got, tuple):
+            assert not np.shares_memory(got.matrix, fallback.matrix)
+            assert not got.matrix.flags.writeable
+
 
 class TestIterate:
     def test_attendance_converges_fast(self, setup):
@@ -337,6 +387,19 @@ class TestIterate:
         prior, _, obs, weights = setup
         with pytest.raises(ValueError, match="^menu must be nonempty$"):
             iterate(prior, (), obs, weights)
+
+    def test_empty_observations_are_a_library_error(self, setup):
+        prior, menu, obs, _ = setup
+        L0 = literal_listener_strategy(prior, menu)
+        S = SpeakerStrategy(("o1",), np.eye(1, len(menu)))
+        calls = [lambda: iterate(prior, menu, [], []),
+                 lambda: iterate(prior, menu, (), [1.0]),
+                 lambda: listener_response(S, [], [], L0),
+                 lambda: check_fixed_point(S, L0, prior, menu, [], []),
+                 lambda: expected_utility(S, L0, [], [])]
+        for call in calls:
+            with pytest.raises(ValueError, match="^observations must be nonempty$"):
+                call()
 
     def test_no_fallback_mode_runs_when_nothing_dies(self):
         # single message menu: it is always sent, fallback never needed
@@ -417,6 +480,39 @@ class TestIterate:
         assert np.allclose(S.matrix[0], 1.0 / 3.0, atol=1e-9)
 
 
+@st.composite
+def keyed_levels(draw):
+    """(L0, [(S, L, sent), (S, L, sent)]): two levels whose unsent rows are
+    L0's; sent rows are L0's row, a copy a hair off it, or a new row."""
+    n, n_msgs = draw(st.integers(min_value=1, max_value=4)), draw(st.integers(1, 5))
+    L0 = ListenerStrategy(np.arange(float(n)), draw(stochastic_rows(n_msgs, n)))
+    levels = []
+    for _ in range(2):
+        S = SpeakerStrategy(("o",), draw(st.sampled_from(list(np.eye(n_msgs))))[None, :])
+        sent = np.array(draw(st.lists(st.booleans(), min_size=n_msgs, max_size=n_msgs)))
+        matrix = L0.matrix.copy()
+        for j in np.flatnonzero(sent):
+            how = draw(st.sampled_from(["same", "hair", "new"]))
+            if how == "hair":
+                matrix[j] = L0.matrix[j] + draw(st.sampled_from([1e-14, 4e-13, 6e-13, 2e-12]))
+            elif how == "new":
+                matrix[j] = draw(stochastic_rows(1, n))[0]
+        levels.append((S, ListenerStrategy(L0.grid, matrix), sent))
+    return L0, levels
+
+
+class TestCycleKey:
+    @settings(max_examples=300)
+    @given(keyed_levels())
+    def test_sent_row_key_matches_the_full_key(self, case):
+        L0, ((S1, L1, sent1), (S2, L2, sent2)) = case
+        for L, sent in ((L1, sent1), (L2, sent2)):  # the unsent rows are L0's
+            assert L.matrix[~sent].tobytes() == L0.matrix[~sent].tobytes()
+        assert (_cycle_key(S1, L1, L0, sent1) == _cycle_key(S2, L2, L0, sent2)) == \
+            (_quantized_key(_QUANTUM, S1.matrix, L1.matrix)
+             == _quantized_key(_QUANTUM, S2.matrix, L2.matrix))
+
+
 class TestEU:
     def test_separating_beats_pooling(self):
         grid = np.arange(2.0)
@@ -445,6 +541,13 @@ class TestEU:
         L = ListenerStrategy(grid, np.array([[0.5, 0.5], [1.0, 0.0]]))
         # message 1 would be -inf but is never sent
         assert expected_utility(S, L, [o], [1.0]) == 0.0
+
+    def test_speaker_wider_than_listener_raises(self):
+        o = Observation("a", uniform(np.arange(2.0)))
+        S = SpeakerStrategy(("a",), np.array([[0.0, 1.0]]))
+        L = ListenerStrategy(np.arange(2.0), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="^speaker needs one row per observation"):
+            expected_utility(S, L, [o], [1.0])
 
     @pytest.mark.parametrize("weights", [[0.0], [-1.0], [1.0, 1.0], [np.nan], [np.inf]])
     def test_bad_weights_rejected(self, weights):
@@ -501,6 +604,19 @@ class TestFixedPointCheck:
                     residual = gap
         rep = check_fixed_point(S, L, prior, menu, obs, [1.0] * len(obs))
         assert rep.speaker_residual == residual
+
+    @pytest.mark.parametrize("mode", ["hardmax", "softmax"])
+    @pytest.mark.parametrize("speaker_shape, listener_rows", [((1, 3), 1), ((1, 2), 3),
+                                                              ((1, 4), 3), ((2, 3), 3)])
+    def test_shapes_that_do_not_fit_raise(self, mode, speaker_shape, listener_rows):
+        grid = np.arange(2.0)
+        prior = IndependentPrior(uniform(grid))
+        menu = [AtLeast(0.0), Between(0.0, 1.0), AtMost(1.0)]
+        o = Observation("a", uniform(grid))
+        S = SpeakerStrategy(("a",) * speaker_shape[0], np.eye(*speaker_shape))
+        L = ListenerStrategy(grid, np.full((listener_rows, 2), 0.5))
+        with pytest.raises(ValueError, match="^speaker needs one row per observation"):
+            check_fixed_point(S, L, prior, menu, [o], [1.0], mode=mode, lam=2.0)
 
     def test_mode_validation(self, setup):
         prior, menu, obs, weights = setup

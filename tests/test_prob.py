@@ -194,6 +194,60 @@ class TestKLStack:
                 assert kl.tobytes() == _kl_rows(p, rows).tobytes()
 
 
+def dense_kl_rows(p, rows):
+    """The KL kernel with terms for every row, dead ones too, and inf set
+    afterwards wherever a row has a zero on p's support mask."""
+    mask = p > 0 if p.ndim == 1 else p[0] > 0
+    pm = p[mask] if p.ndim == 1 else p[:, None, mask]
+    qm = np.ascontiguousarray(rows if mask.all() else rows[:, mask])
+    out = None if p.ndim == 1 else np.empty((len(p),) + qm.shape)
+    with np.errstate(divide="ignore"):
+        terms = np.divide(pm, qm, out=out)
+        np.log(terms, out=terms)
+    terms *= pm
+    kl = terms.sum(axis=-1)
+    kl[..., np.any(qm == 0, axis=1)] = math.inf
+    return kl
+
+
+@st.composite
+def kl_tables(draw):
+    """(p, rows): p one distribution or a stack sharing one support mask;
+    rows mixing live rows, rows with zeros on and off the mask, all-zero
+    rows (a ZeroPosterior message in utility_table) and NaN entries."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(min_value=0, max_value=n - 1))] = True
+    positive = st.floats(min_value=1e-300, max_value=1.0)
+    stack = draw(st.integers(min_value=0, max_value=4))  # 0: one 1-d p
+    p = np.array(draw(st.lists(st.lists(positive, min_size=n, max_size=n),
+                               min_size=max(stack, 1), max_size=max(stack, 1)))) * mask
+    p /= p.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(["mixed", "all live", "all dead", "zero rows"]))
+    entry = {"mixed": st.one_of(st.just(0.0), positive, st.just(math.nan)),
+             "zero rows": st.just(0.0)}.get(kind, positive)
+    r = draw(st.integers(min_value=0, max_value=8))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=r, max_size=r))).reshape(r, n)
+    on_mask = np.flatnonzero(mask)
+    for i in range(r):
+        if kind == "all dead":
+            rows[i, draw(st.sampled_from(on_mask.tolist()))] = 0.0
+        elif kind != "zero rows" and draw(st.booleans()):  # a zero off the mask keeps it live
+            rows[i, ~mask] = 0.0
+    return (p if stack else p[0]), rows
+
+
+class TestKLOracle:
+    @settings(max_examples=500)
+    @given(kl_tables())
+    def test_live_rows_match_the_dense_kernel_bit_for_bit(self, table):
+        p, rows = table
+        got, want = _kl_rows(p, rows), dense_kl_rows(p, rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSurprisal:
     def test_uniform_nine_grid(self):
         p = uniform(np.arange(9.0))
