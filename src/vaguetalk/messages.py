@@ -15,6 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .prob import _is_grid
+
 __all__ = [
     "Message",
     "Exact",
@@ -215,8 +217,19 @@ def denotation_vector(m: Message, grid, t=None) -> np.ndarray:
     return g >= t if m.polarity == ">=" else g < t
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, raising unless it is a nonempty, finite,
+    strictly increasing 1-d grid."""
+    g = np.asarray(grid, dtype=float)
+    if not g.size:
+        raise ValueError("grid must be nonempty")
+    if not _is_grid(g):
+        raise ValueError("grid must be one-dimensional, finite and strictly increasing")
+    return g
+
+
 def precise_alternatives(grid) -> list[Message]:
-    """All precise interval messages on a strictly increasing grid.
+    """All precise interval messages on a finite, strictly increasing grid.
 
     Every Between(lo, hi) with lo <= hi over grid values, ordered by lo
     then hi; exact messages appear as the lo == hi case. These n(n+1)/2
@@ -224,23 +237,34 @@ def precise_alternatives(grid) -> list[Message]:
     at-least v denotes what between v and the grid maximum does, and
     at-most v what between the grid minimum and v does. The result is the
     full precise answer menu, with no explicitly probabilistic messages.
+
+    The grid is checked once, so lo < hi holds for every Between by
+    construction; the messages are made without ``__init__`` (and its
+    per-message interval check), their fields the grid's ``np.float64``
+    values. They are equal to, hash and print as the constructors' messages,
+    and stay frozen.
     """
-    g = np.asarray(grid, dtype=float)
-    if not g.size:
-        raise ValueError("grid must be nonempty")
-    if not np.all(np.diff(g) > 0):
-        raise ValueError("grid must be strictly increasing")
-    values = list(g)
-    return [Exact(lo) if lo == hi else Between(lo, hi)
-            for i, lo in enumerate(values) for hi in values[i:]]
+    values = list(_checked_grid(grid))
+    menu = []
+    new = object.__new__
+    for i, lo in enumerate(values):
+        m = new(Exact)
+        m.__dict__["value"] = lo
+        menu.append(m)
+        for hi in values[i + 1:]:
+            m = new(Between)
+            fields = m.__dict__
+            fields["lo"] = lo
+            fields["hi"] = hi
+            menu.append(m)
+    return menu
 
 
 def vague_alternatives(grid, kind: str) -> list[Message]:
     """The vague message menu for a grid: one Around per grid point, or the
-    tall/short threshold pair."""
-    g = list(np.asarray(grid, dtype=float))
-    if not g:
-        raise ValueError("grid must be nonempty")
+    tall/short threshold pair. The grid is checked as ``precise_alternatives``
+    checks it."""
+    g = _checked_grid(grid)
     if kind == "around":
         return [Around(v) for v in g]
     if kind == "threshold":

@@ -59,11 +59,22 @@ class AllUtilitiesNegativeInfinite(ValueError):
     """Raised when a softmax has no finite utility to put mass on."""
 
 
+def _is_grid(a: np.ndarray) -> bool:
+    """Whether a nonempty 1-d array is finite and strictly increasing.
+
+    Comparing neighbours, not their differences, is NaN-safe (a NaN compares
+    False) and never subtracts inf from inf; a strictly increasing array with
+    finite ends is finite, so no further pass over the elements is needed.
+    """
+    return (a.ndim == 1 and bool((a[1:] > a[:-1]).all())
+            and math.isfinite(a[0]) and math.isfinite(a[-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Dist:
     """A probability distribution over a strictly increasing grid of reals.
 
-    Invariants enforced at construction: support strictly increasing,
+    Invariants enforced at construction: support finite and strictly increasing,
     probabilities nonnegative and summing to 1 within ``PROB_TOL``, equal
     lengths, at least one point. Zero probabilities are allowed (posteriors
     routinely zero out grid points).
@@ -83,8 +94,8 @@ class Dist:
             )
         if len(support) == 0:
             raise ValueError("a distribution needs at least one support point")
-        if np.any(np.diff(support) <= 0):
-            raise ValueError("support values must be strictly increasing")
+        if not _is_grid(support):
+            raise ValueError("support values must be finite and strictly increasing")
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite and nonnegative")
         total = float(probs.sum())

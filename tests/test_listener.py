@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -10,10 +11,11 @@ from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exac
                        ExplicitJointPrior, IndependentPrior, Message, MissingParamPrior,
                        NonUniformPreconditionViolated, Threshold, ZeroPosterior,
                        around_closed_form, closed_form_posterior, denotation,
+                       denotation_vector,
                        joint_enumeration_posterior, literal_listener_strategy,
                        literal_update, precise_alternatives, tall_closed_form, uniform,
                        vague_alternatives)
-from vaguetalk.listener import _literal_rows
+from vaguetalk.listener import _literal_outcomes, _literal_rows
 
 GRID = np.arange(0.0, 81.0, 10.0)
 
@@ -157,6 +159,14 @@ class TestExplicitJoint:
         with pytest.raises(ValueError):
             ExplicitJointPrior([0.0, 1.0], [0.0, 1.0],
                                [[0.5, 0.5], [0.5, 0.5]], "around")
+
+    @pytest.mark.parametrize("xs, ts", [([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0]),
+                                        ([0.0, np.inf], [0.0, 1.0]), ([0.0, 1.0], [-np.inf, 0.0]),
+                                        ([], [0.0, 1.0]), ([0.0, 1.0], [[0.0, 1.0]])])
+    def test_supports_must_be_finite_grids(self, xs, ts):
+        joint = np.full((len(xs), 2), 1.0 / (2 * len(xs))) if xs else np.zeros((0, 2))
+        with pytest.raises(ValueError, match="supports must be nonempty, finite and strictly"):
+            ExplicitJointPrior(xs, ts, joint, "around")
 
 
 class TestClosedForms:
@@ -488,3 +498,150 @@ class TestPinnedL0:
                          if _pin(hashlib.sha256(), lambda: _literal_rows(prior, (m,)))]
                 _pin(h, lambda: _literal_rows(prior, alive))
         assert h.hexdigest() == self.DIGEST
+
+
+# The L0 kernel before it sorted the menu by type: one (lo, hi) lambda per
+# precise kind and every other message built on its own. Kept as the oracle
+# that the typed pass and the broadcast "around" rows must match bit for bit.
+_PARENT_BOUNDS = {
+    Exact: lambda m: (m.value, m.value),
+    Between: lambda m: (m.lo, m.hi),
+    AtLeast: lambda m: (m.lo, math.inf),
+    AtMost: lambda m: (-math.inf, m.hi),
+}
+
+
+def _parent_message_weights(prior, m, xs, x_probs):
+    if not m.vague:
+        return x_probs * denotation_vector(m, xs)
+    if isinstance(prior, IndependentPrior):
+        t = prior.t_prior_for(m)
+        return x_probs * (denotation_vector(m, xs[:, None], t.support) @ t.probs)
+    if m.param_kind == prior.param_kind:
+        return (prior.joint * denotation_vector(m, xs[:, None], prior.t_support)).sum(axis=1)
+    raise MissingParamPrior(f"joint prior is over kind {prior.param_kind!r}, "
+                            f"message needs {m.param_kind!r}")
+
+
+def parent_literal_outcomes(prior, menu):
+    if isinstance(prior, IndependentPrior):
+        xs, x_probs = prior.x.support, prior.x.probs
+    else:
+        xs, x_probs = prior.x_support, prior.joint.sum(axis=1)
+    lows, highs, other, errors = [], [], {}, {}
+    for j, m in enumerate(menu):
+        bounds = _PARENT_BOUNDS.get(type(m))
+        if bounds is not None:
+            lo, hi = bounds(m)
+        else:
+            try:
+                other[j] = _parent_message_weights(prior, m, xs, x_probs)
+            except (TypeError, ValueError) as exc:
+                errors[j] = exc
+            lo, hi = math.inf, -math.inf
+        lows.append(lo)
+        highs.append(hi)
+    if other and len(other) == len(lows):
+        weights = np.array(list(other.values()))
+    else:
+        lo = np.array(lows, dtype=float)[:, None]
+        hi = np.array(highs, dtype=float)[:, None]
+        weights = x_probs * ((xs >= lo) & (xs <= hi))
+        for j, w in other.items():
+            weights[j] = w
+    totals = weights.sum(axis=1, keepdims=True)
+    if not totals.all():
+        for j in np.flatnonzero(totals == 0).tolist():
+            if j not in errors:
+                errors[j] = ZeroPosterior(f"{menu[j].label!r} is false everywhere under the prior")
+        totals[totals == 0] = 1.0
+    weights /= totals
+    return xs, weights, errors
+
+
+class Approximately(Around):
+    """A subclass of Around: it takes the per-message route."""
+
+
+def l0_messages(scale, hi):
+    """Every kind the L0 kernel sorts: precise, "around" with float and int
+    centres on and off a [0, hi] grid, an Around subclass, "tall", "short"."""
+    index = st.integers(min_value=-2, max_value=hi + 2)
+    return st.one_of(messages(scale), index.map(lambda v: Around(scale * v)),
+                     index.map(lambda v: Around(scale * (v + 0.5))),
+                     index.map(lambda v: Approximately(scale * v)), index.map(Around))
+
+
+@st.composite
+def sized_points(draw, lo, hi, scale, min_size, max_size):
+    """``points`` with its size drawn first, so that every size is as likely."""
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    values = draw(st.sets(st.integers(min_value=lo, max_value=hi), min_size=size, max_size=size))
+    return scale * np.array(sorted(values), dtype=float)
+
+
+@st.composite
+def l0_cases(draw):
+    """An explicit joint, or an independent prior whose t priors may be
+    missing; a menu with repeated messages. Wide cases (up to 45 grid points
+    and 25 halo values) reach the sizes where a stacked or flattened t-sum
+    rounds differently from one product per row."""
+    scale = draw(st.sampled_from([1.0, 0.5, 2.5]))
+    wide = draw(st.booleans())
+    hi = 60 if wide else 10
+    grid = draw(sized_points(0, hi, scale, 15, 45) if wide else points(0, hi, scale))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        kind = draw(st.sampled_from(["around", "threshold"]))
+        ts = draw(points(0, 6, scale) if kind == "around" else points(-2, 12, scale))
+        joint = draw(weights_with_zeros(grid.size * ts.size)).reshape(grid.size, ts.size)
+        prior = ExplicitJointPrior(grid, ts, joint, kind)
+    else:
+        t_priors = {}
+        sizes = (("around", 0, hi // 2, 25 if wide else 6), ("threshold", -2, hi + 2, 6))
+        for kind, lo, top, size in sizes:
+            if draw(st.integers(min_value=0, max_value=4)):
+                ts = draw(sized_points(lo, top, scale, 1, size))
+                t_priors[kind] = Dist(ts, draw(weights_with_zeros(ts.size)))
+        prior = IndependentPrior(Dist(grid, draw(weights_with_zeros(grid.size))), t_priors)
+    menu = draw(st.lists(l0_messages(scale, hi), min_size=1, max_size=12))
+    menu += draw(st.lists(st.sampled_from(menu), max_size=4))
+    if wide:
+        menu += vague_alternatives(grid, "around")
+    return prior, draw(st.permutations(menu))
+
+
+def _error_key(exc):
+    return type(exc), str(exc)
+
+
+class TestL0AgainstPerMessageKernel:
+    @given(l0_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_message_kernel_bit_for_bit(self, case):
+        prior, menu = case
+        xs, got, errors = _literal_outcomes(prior, menu)
+        want_xs, want, want_errors = parent_literal_outcomes(prior, menu)
+        assert xs.tobytes() == want_xs.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert {j: _error_key(e) for j, e in errors.items()} == \
+            {j: _error_key(e) for j, e in want_errors.items()}
+        if errors:
+            with pytest.raises(Exception) as raised:
+                _literal_rows(prior, menu)
+            assert _error_key(raised.value) == _error_key(want_errors[min(want_errors)])
+        for j, m in enumerate(menu):
+            if j in errors:
+                continue
+            if isinstance(prior, IndependentPrior):
+                t = prior.t_priors[m.param_kind] if m.vague else uniform([0.0])
+                oracle = joint_enumeration_posterior(prior.x, t, m).probs
+            else:
+                oracle = explicit_enumeration(prior, m)
+            assert np.max(np.abs(got[j] - oracle)) <= 1e-12
+
+    def test_missing_around_prior_is_one_error_per_message(self):
+        prior = IndependentPrior(uniform([0.0, 1.0, 2.0]), {"threshold": uniform([1.0])})
+        _, _, errors = _literal_outcomes(prior, [Around(1.0), Exact(1.0), Around(1.0), TALL])
+        assert sorted(errors) == [0, 2]
+        assert errors[0] is not errors[2]
+        assert all(isinstance(e, MissingParamPrior) for e in errors.values())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -144,6 +146,34 @@ class TestMenus:
     def test_precise_menu_needs_strictly_increasing_grid(self, grid):
         with pytest.raises(ValueError, match="strictly increasing"):
             precise_alternatives(grid)
+
+    @pytest.mark.parametrize("grid", [[1.0, 1.0, 0.0], [0.0, np.nan], [np.nan], [0.0, np.inf],
+                                      [-np.inf, 0.0], [np.inf, np.inf], [[0.0, 1.0]], []])
+    def test_both_menus_check_the_grid_alike(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing|nonempty"):
+            precise_alternatives(grid)
+        for kind in ("around", "threshold"):
+            with pytest.raises(ValueError, match="strictly increasing|nonempty"):
+                vague_alternatives(grid, kind)
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1,
+                    max_size=12, unique=True).map(sorted))
+    def test_precise_menu_equals_the_constructors_menu(self, values):
+        grid = np.array(values)
+        got = precise_alternatives(grid)
+        points = list(np.asarray(values, dtype=float))
+        want = [Exact(lo) if i == j else Between(lo, points[j])
+                for i, lo in enumerate(points) for j in range(i, len(points))]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert vars(g) == vars(w)
+            assert [type(v) for v in vars(g).values()] == [np.float64] * len(vars(w))
+            assert g == w and hash(g) == hash(w)
+            assert repr(g) == repr(w) and g.label == w.label and g.to_json() == w.to_json()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.lo = 0.0
+        assert vague_alternatives(grid, "around") == [Around(v) for v in points]
 
     def test_vague_menus(self):
         arounds = vague_alternatives(GRID, "around")

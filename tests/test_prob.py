@@ -60,6 +60,13 @@ class TestDist:
         with pytest.raises(ValueError):
             Dist([2.0, 1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("support", [[0.0, math.nan, 2.0], [math.nan], [0.0, math.inf],
+                                         [-math.inf, 0.0], [math.inf], [math.inf, math.inf]])
+    def test_support_must_be_finite(self, support):
+        # a NaN step compares False both ways, so "no step <= 0" let it through
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Dist(support, [1.0 / len(support)] * len(support))
+
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):
             Dist([0.0, 1.0], [-0.1, 1.1])
