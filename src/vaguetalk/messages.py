@@ -242,20 +242,21 @@ def precise_alternatives(grid) -> list[Message]:
     construction; the messages are made without ``__init__`` (and its
     per-message interval check), their fields the grid's ``np.float64``
     values. They are equal to, hash and print as the constructors' messages,
-    and stay frozen.
+    and stay frozen. Fields are set with ``object.__setattr__``, as the
+    frozen ``__init__`` sets them: writing to an instance's ``__dict__``
+    makes CPython give each one a dict of its own, and the menu 60% larger.
     """
     values = list(_checked_grid(grid))
     menu = []
-    new = object.__new__
+    new, put = object.__new__, object.__setattr__
     for i, lo in enumerate(values):
         m = new(Exact)
-        m.__dict__["value"] = lo
+        put(m, "value", lo)
         menu.append(m)
         for hi in values[i + 1:]:
             m = new(Between)
-            fields = m.__dict__
-            fields["lo"] = lo
-            fields["hi"] = hi
+            put(m, "lo", lo)
+            put(m, "hi", hi)
             menu.append(m)
     return menu
 
