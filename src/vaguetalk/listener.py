@@ -180,9 +180,10 @@ def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
     multiplied into the L0 buffer; the "around" rows under an independent
     prior with an "around" t prior share one broadcast denotation and sum
     over t one row at a time, so that each rounds as it does alone
-    (``_around_rows``); every other row is built on its own. A message whose weights cannot be built
-    keeps that error, and a message false everywhere gets a ZeroPosterior;
-    both keep a zero row. All other rows are normalised at once.
+    (``_around_rows``); every other row is built on its own. A message
+    whose weights cannot be built keeps that error, and a message false
+    everywhere gets a ZeroPosterior; both keep a zero row. All other rows
+    are normalised at once.
     """
     if isinstance(prior, IndependentPrior):
         xs, x_probs = prior.x.support, prior.x.probs

@@ -243,8 +243,8 @@ def precise_alternatives(grid) -> list[Message]:
     per-message interval check), their fields the grid's ``np.float64``
     values. They are equal to, hash and print as the constructors' messages,
     and stay frozen. Fields are set with ``object.__setattr__``, as the
-    frozen ``__init__`` sets them: writing to an instance's ``__dict__``
-    makes CPython give each one a dict of its own, and the menu 60% larger.
+    frozen ``__init__`` sets them; writing into ``__dict__`` instead gives
+    each message a dict of its own and the menu 60% more memory.
     """
     values = list(_checked_grid(grid))
     menu = []

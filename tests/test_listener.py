@@ -584,7 +584,7 @@ def sized_points(draw, lo, hi, scale, min_size, max_size):
 def l0_cases(draw):
     """An explicit joint, or an independent prior whose t priors may be
     missing; a menu with repeated messages. Wide cases (up to 45 grid points
-    and 25 halo values) reach the sizes where a stacked or flattened t-sum
+    and 25 halo values) reach the sizes where a flattened (k*n, T) t-sum
     rounds differently from one product per row."""
     scale = draw(st.sampled_from([1.0, 0.5, 2.5]))
     wide = draw(st.booleans())
