@@ -14,9 +14,9 @@ the independence assumption is dropped.
 A menu's rows are built as one matrix, the L0 matrix, in array passes.
 One pass over the menu sorts the messages by exact type. Every precise
 message is a (lo, hi) interval, so their rows are one mask over the grid.
-Every "around" message under an independent prior shares one broadcast
-denotation |x - c| <= t, summed over t one row at a time so that each row
-rounds as it does alone. Other messages (thresholds, subclasses, an
+The "around" messages under an independent prior share broadcast
+denotations |x - c| <= t, a block of centres at a time, summed over t one
+row at a time so that each row rounds as it does alone. Other messages (thresholds, subclasses, an
 explicit joint) are built one at a time.
 
 Every posterior the package serves is a row of that update. The closed
@@ -154,20 +154,29 @@ def _interval_weights(xs: np.ndarray, x_probs: np.ndarray, lows: list[float],
     return np.multiply(x_probs, mask)
 
 
+#: most (x, t) cells of "around" truth held at once, as bool: 1 MB
+_AROUND_BLOCK_CELLS = 1 << 20
+
+
 def _around_rows(weights: np.ndarray, rows: list[int], centers: list[float],
                  xs: np.ndarray, x_probs: np.ndarray, t: Dist) -> None:
     """Write the weights of the "around" messages at ``rows`` into ``weights``.
 
-    The denotation |x - c| <= t is one (k, n, T) bool array for all centres.
-    Each row's t-sum stays its own (n, T) @ (T,) product, as on the
-    per-message route, so that it rounds the same way: one stacked product
-    casts the whole stack to a float temporary, and a flattened (k*n, T)
-    product rounds differently.
+    The denotation |x - c| <= t is one broadcast (b, n, T) bool array for a
+    block of b centres, with b * n * T at most ``_AROUND_BLOCK_CELLS`` (or
+    b = 1), so memory stays that of one message's truth matrix or 1 MB,
+    however many centres there are. Each row's t-sum stays its own
+    (n, T) @ (T,) product, as on the per-message route, so that it rounds
+    the same way: one stacked product casts the whole stack to a float
+    temporary, and a flattened (b*n, T) product rounds differently.
     """
-    truth = np.abs(xs[:, None] - np.array(centers)[:, None, None]) <= t.support
-    for j, true in zip(rows, truth):
-        np.matmul(true, t.probs, out=weights[j])
-        np.multiply(x_probs, weights[j], out=weights[j])
+    c = np.array(centers)[:, None, None]
+    step = max(1, _AROUND_BLOCK_CELLS // (xs.size * t.support.size))
+    for b in range(0, len(rows), step):
+        truth = np.abs(xs[:, None] - c[b:b + step]) <= t.support
+        for j, true in zip(rows[b:b + step], truth):
+            np.matmul(true, t.probs, out=weights[j])
+            np.multiply(x_probs, weights[j], out=weights[j])
 
 
 def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
@@ -178,9 +187,9 @@ def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
     messages by exact type (a subclass takes the per-message route): the
     precise rows are one (lo, hi) mask over the grid for the whole menu,
     multiplied into the L0 buffer; the "around" rows under an independent
-    prior with an "around" t prior share one broadcast denotation and sum
-    over t one row at a time, so that each rounds as it does alone
-    (``_around_rows``); every other row is built on its own. A message
+    prior with an "around" t prior share broadcast denotations, a block of
+    centres at a time, and sum over t one row at a time, so that each
+    rounds as it does alone (``_around_rows``); every other row is built on its own. A message
     whose weights cannot be built keeps that error, and a message false
     everywhere gets a ZeroPosterior; both keep a zero row. All other rows
     are normalised at once.

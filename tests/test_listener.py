@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exac
                        joint_enumeration_posterior, literal_listener_strategy,
                        literal_update, precise_alternatives, tall_closed_form, uniform,
                        vague_alternatives)
+from vaguetalk import listener
 from vaguetalk.listener import _literal_outcomes, _literal_rows
 
 GRID = np.arange(0.0, 81.0, 10.0)
@@ -638,6 +640,38 @@ class TestL0AgainstPerMessageKernel:
             else:
                 oracle = explicit_enumeration(prior, m)
             assert np.max(np.abs(got[j] - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", [1, 13 * 6, 5 * 13 * 6 + 1])
+    def test_around_blocks_match_per_message_kernel(self, monkeypatch, blocks):
+        # 1 cell and one message's 13 x 6 truth matrix both give one centre
+        # per block; the last gives five, leaving a short block at the end
+        monkeypatch.setattr(listener, "_AROUND_BLOCK_CELLS", blocks)
+        rng = np.random.default_rng(7)
+        grid = np.arange(0.0, 13.0)
+        prior = IndependentPrior(_seeded_dist(rng, grid, 0.2),
+                                 {"around": _seeded_dist(rng, np.arange(0.0, 6.0), 0.2)})
+        menu = list(rng.permutation(precise_alternatives(grid)[:20]
+                                    + vague_alternatives(grid, "around") + [Around(2.5)]))
+        _, got, errors = _literal_outcomes(prior, menu)
+        _, want, want_errors = parent_literal_outcomes(prior, menu)
+        assert got.tobytes() == want.tobytes()
+        assert errors.keys() == want_errors.keys()
+
+    def test_around_truth_memory_does_not_grow_with_the_menu(self):
+        # 400 centres x 400 grid points x 200 halo values: a (k, n, T) truth
+        # stack would be 32 MB; the rows need the L0 matrix, one block of
+        # truth and a few float copies of one message's (n, T) truth matrix
+        n, T = 400, 200
+        grid = np.arange(float(n))
+        prior = IndependentPrior(uniform(grid), {"around": uniform(np.arange(float(T)))})
+        menu = vague_alternatives(grid, "around")
+        tracemalloc.start()
+        try:
+            _, got, _ = _literal_outcomes(prior, menu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + listener._AROUND_BLOCK_CELLS + 4 * n * T * 8
 
     def test_missing_around_prior_is_one_error_per_message(self):
         prior = IndependentPrior(uniform([0.0, 1.0, 2.0]), {"threshold": uniform([1.0])})
