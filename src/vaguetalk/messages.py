@@ -244,7 +244,12 @@ def precise_alternatives(grid) -> list[Message]:
     values. They are equal to, hash and print as the constructors' messages,
     and stay frozen. Fields are set with ``object.__setattr__``, as the
     frozen ``__init__`` sets them; writing into ``__dict__`` instead gives
-    each message a dict of its own and the menu 60% more memory.
+    each message a dict of its own and the menu 60% more memory. This path
+    skips ``__post_init__``, so a check or normalisation added there must
+    be added here too; a test compares this menu with the constructors'
+    field by field. Built through the constructors instead, the menu made
+    the ``ibr-wide`` benchmark's median op about 1.2x slower
+    (``BENCH_literal_passes.json``).
     """
     values = list(_checked_grid(grid))
     menu = []
