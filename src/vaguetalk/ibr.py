@@ -332,7 +332,10 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
     shortfall). Softmax: S rows must equal the softmax response within
     tol (residual = largest entry difference). Listener side: L must
     equal the Bayes response to S (with the same dead-message rule used
-    by iterate) within tol.
+    by iterate) within tol. The Bayes rows are written into a copy of the
+    L0 matrix of ``prior`` and ``menu``, read through the literal listener's
+    one-entry store: when these are the objects ``iterate`` was given, it is
+    the matrix ``iterate`` built, and otherwise it is built here.
     """
     w = _observation_weights(weights, observations)
     if S.matrix.shape != (len(observations), len(menu)) or len(L.matrix) != len(menu):
@@ -349,8 +352,11 @@ def check_fixed_point(S: SpeakerStrategy, L: ListenerStrategy,
         speaker_residual = float(np.max(np.abs(S.matrix - ideal.matrix)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # one menu x grid buffer: a fresh L0, then the Bayes rows, then L minus them
-    grid, rows = _literal_rows(prior, menu) if dead_message_fallback else (None, None)
+    # one menu x grid buffer: a copy of L0, then the Bayes rows, then L minus them
+    grid, rows = None, None
+    if dead_message_fallback:
+        grid, rows = _literal_rows(prior, menu)
+        rows = rows.copy()
     diff, _ = _bayes_rows(S, observations, w, grid, rows)
     np.subtract(L.matrix, diff, out=diff)
     listener_residual = float(np.max(np.abs(diff, out=diff)))

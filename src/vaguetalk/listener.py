@@ -25,11 +25,22 @@ forms for the two uniform textbook cases (``around_closed_form``,
 their uniformity preconditions against an actual prior) are special cases
 of it, kept as independent checks: reports and tests ask for them by name,
 and scenario mode "closedform" uses only their precondition errors.
+
+The last L0 matrix built without an error is kept in one module-level
+entry, keyed by the identity of the objects it was built from: the prior,
+an independent prior's x prior and each (kind, t prior) pair of its
+``t_priors`` dict, and every menu message. A call with the same objects, as
+``ibr.check_fixed_point`` makes after ``ibr.iterate``, gets the same
+read-only arrays back; a fresh menu of equal messages, or a swapped
+``t_priors`` entry, builds anew. The entry holds those objects, the grid and
+the matrix alive until the next successful build replaces it. A message
+with no row raises afresh on every call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -249,15 +260,44 @@ def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
     return xs, weights, errors
 
 
+#: the last result of ``_literal_rows``: its key (``_rows_key``), grid and L0 matrix
+_last_rows: tuple | None = None
+
+
+def _rows_key(prior: JointPrior, menu: Sequence[Message]) -> tuple:
+    """The objects an L0 matrix is a function of: the prior, an independent
+    prior's x prior and (kind, t prior) pairs, and the menu's messages."""
+    if isinstance(prior, IndependentPrior):
+        return prior, prior.x, tuple(prior.t_priors.items()), tuple(menu)
+    return prior, None, (), tuple(menu)
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    """Whether two ``_rows_key`` keys hold the same objects, by identity
+    (kinds by equality): two equal but distinct menus differ."""
+    (prior, x, ts, menu), (prior_b, x_b, ts_b, menu_b) = a, b
+    return (prior is prior_b and x is x_b and len(ts) == len(ts_b)
+            and all(k == k_b and t is t_b for (k, t), (k_b, t_b) in zip(ts, ts_b))
+            and len(menu) == len(menu_b) and all(map(operator.is_, menu, menu_b)))
+
+
 def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:
     """The x grid and the L0 matrix, whose row j is the posterior after menu[j].
 
     The first message in menu order that has no row raises its error, so an
     error met at message j waits until the rows before it are known to be alive.
+    The matrix is read-only: a call with the same objects as the last
+    successful one returns the same arrays, unbuilt.
     """
+    global _last_rows
+    key, last = _rows_key(prior, menu), _last_rows
+    if last is not None and _same_key(key, last[0]):
+        return last[1], last[2]
     xs, weights, errors = _literal_outcomes(prior, menu)
     if errors:
         raise errors[min(errors)]
+    weights.setflags(write=False)
+    _last_rows = (key, xs, weights)
     return xs, weights
 
 

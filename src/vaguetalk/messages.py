@@ -10,6 +10,7 @@ Listeners resolve the open parameter with a prior; see ``listener``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -290,7 +291,8 @@ _JSON_KINDS = {
 
 
 def message_from_json(obj: dict) -> Message:
-    """Decode the ``{"kind": ..., "args": [...]}`` wire form."""
+    """Decode the ``{"kind": ..., "args": [...]}`` wire form; every arg must be
+    a finite number."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MessageParseError(f"not a message object: {obj!r}")
     kind = obj["kind"]
@@ -300,11 +302,17 @@ def message_from_json(obj: dict) -> Message:
     cls, arity = _JSON_KINDS[kind]
     if len(args) != arity or not all(isinstance(a, (int, float)) for a in args):
         raise MessageParseError(f"kind {kind!r} expects {arity} numeric args, got {args!r}")
+    try:
+        values = [float(a) for a in args]
+    except OverflowError:  # an int beyond the float range
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise MessageParseError(f"kind {kind!r} expects finite args, got {args!r}")
     if kind == "tall":
         return TALL
     if kind == "short":
         return SHORT
-    return cls(*[float(a) for a in args])
+    return cls(*values)
 
 
 def parse_message(text: str) -> Message:
@@ -312,7 +320,7 @@ def parse_message(text: str) -> Message:
 
     Accepted forms: "exactly V", "between LO HI" (an optional "and" is
     fine), "at least V" / "atleast V", "at most V" / "atmost V",
-    "around V", "tall", "short".
+    "around V", "tall", "short". Every number must be finite.
     """
     tokens = text.strip().lower().replace(",", " ").split()
     if not tokens:
@@ -325,9 +333,12 @@ def parse_message(text: str) -> Message:
 
     def num(i: int) -> float:
         try:
-            return float(rest[i])
+            value = float(rest[i])
         except (IndexError, ValueError):
             raise MessageParseError(f"could not parse {text!r}") from None
+        if not math.isfinite(value):
+            raise MessageParseError(f"{text!r}: {rest[i]!r} is not a finite number")
+        return value
 
     if head in ("exact", "exactly"):
         return Exact(num(0))

@@ -380,6 +380,11 @@ TABLE_FILES = {
         "menu": [{"kind": "around", "args": [40]}, {"kind": "between", "args": [10, 70]}],
         "mode": "closedform",
     },
+    "nan_bound.json": {  # json.dumps writes the bound as NaN
+        "grid": {"min": 0, "max": 20, "step": 10, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": [{"kind": "between", "args": [10, math.nan]}],
+    },
     "oversize.json": {
         "grid": {**OVERSIZE["grid"][0], "unit": "u"},
         "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
@@ -393,6 +398,8 @@ EXIT_CODES = [
     (("posterior", ATTENDANCE, "around 40"), 0),
     (("posterior", "closedform.json", "around 40"), 0),
     (("posterior", ATTENDANCE, "roughly 40"), 2),
+    (("posterior", ATTENDANCE, "between 10 nan"), 2),
+    (("posterior", ATTENDANCE, "around inf"), 2),
     (("posterior", ATTENDANCE, "between 90 100"), 3),
     (("posterior", "oversize.json", "tall"), 5),
     (("speak", ATTENDANCE), 0),
@@ -403,6 +410,7 @@ EXIT_CODES = [
     (("ibr", ATTENDANCE), 0),
     (("ibr", "closedform.json"), 0),
     (("ibr", "no_such_file.json"), 2),
+    (("ibr", "nan_bound.json"), 2),
     (("ibr", ATTENDANCE, "--no-fallback"), 3),
     (("ibr", "hopeless.json"), 4),
     (("ibr", "oversize.json"), 5),

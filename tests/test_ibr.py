@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -448,6 +449,34 @@ class TestIterate:
                                 dead_message_fallback=fallback_on)) == \
                 repr(outcome(dense_check, S, L, prior, menu, obs, weights, check_mode,
                              lam_or_default, fallback_on))
+
+    @settings(max_examples=150, deadline=None)
+    @given(recursion_cases(), st.sampled_from(["same menu", "equal menu", "user listener"]),
+           st.booleans(), st.data())
+    def test_check_matches_the_dense_check_whatever_l0_it_reads(self, case, source,
+                                                                 fallback_on, data):
+        # the check reads iterate's own L0 (same menu), a fresh one (an equal
+        # copy of the menu), or checks a listener the caller made; it must
+        # leave the trace's L0, which it copies, as it was
+        prior, menu, obs, weights = case
+        trace = outcome(iterate, prior, menu, obs, weights, max_levels=3)
+        if isinstance(trace, tuple):
+            return
+        S, L = trace.final
+        L0 = trace.levels[0][1].matrix
+        before = L0.tobytes()
+        check_menu = menu
+        if source == "equal menu":
+            check_menu = [copy.copy(m) for m in menu]
+            assert check_menu == menu and all(a is not b for a, b in zip(check_menu, menu))
+        elif source == "user listener":
+            L = ListenerStrategy(L.grid, data.draw(stochastic_rows(len(menu), L.grid.size)))
+        for mode, lam in (("hardmax", None), ("softmax", 4.0)):
+            assert repr(outcome(check_fixed_point, S, L, prior, check_menu, obs, weights,
+                                mode=mode, lam=lam, dead_message_fallback=fallback_on)) == \
+                repr(outcome(dense_check, S, L, prior, menu, obs, weights, mode, lam,
+                             fallback_on))
+        assert L0.tobytes() == before and not L0.flags.writeable
 
     def test_synonym_with_a_rescaled_row_cycles_with_period_two(self):
         # L0's row for "between 0 and 5" on 0..5 sums to 1 + 2**-52, so the

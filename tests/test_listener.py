@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exact,
                        ExplicitJointPrior, IndependentPrior, Message, MissingParamPrior,
-                       NonUniformPreconditionViolated, Threshold, ZeroPosterior,
-                       around_closed_form, closed_form_posterior, denotation,
-                       denotation_vector,
+                       NonUniformPreconditionViolated, Observation, Threshold, ZeroPosterior,
+                       around_closed_form, check_fixed_point, closed_form_posterior,
+                       denotation, denotation_vector, iterate,
                        joint_enumeration_posterior, literal_listener_strategy,
                        literal_update, precise_alternatives, tall_closed_form, uniform,
                        vague_alternatives)
@@ -679,3 +679,82 @@ class TestL0AgainstPerMessageKernel:
         assert sorted(errors) == [0, 2]
         assert errors[0] is not errors[2]
         assert all(isinstance(e, MissingParamPrior) for e in errors.values())
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The menu lengths ``_literal_outcomes`` is called with, starting from an
+    empty L0 store (restored afterwards)."""
+    calls = []
+    build = listener._literal_outcomes
+
+    def counted(prior, menu):
+        calls.append(len(menu))
+        return build(prior, menu)
+
+    monkeypatch.setattr(listener, "_literal_outcomes", counted)
+    monkeypatch.setattr(listener, "_last_rows", None)
+    return calls
+
+
+class TestL0Store:
+    def test_same_objects_give_the_same_read_only_arrays(self, builds):
+        prior = table_prior()
+        menu = precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+        grid, matrix = _literal_rows(prior, menu)
+        assert not matrix.flags.writeable
+        for same in (menu, tuple(menu), list(menu)):
+            again = _literal_rows(prior, same)
+            assert again[0] is grid and again[1] is matrix
+        assert builds == [len(menu)]
+
+    def test_equal_fresh_menu_is_built_anew(self, builds):
+        prior = table_prior()
+        _, first = _literal_rows(prior, precise_alternatives(GRID))
+        _, second = _literal_rows(prior, precise_alternatives(GRID))
+        assert second is not first and second.tobytes() == first.tobytes()
+        assert builds == [45, 45]
+
+    def test_replaced_t_prior_entry_is_built_anew(self, builds):
+        t_priors = {"around": uniform(np.arange(0.0, 41.0, 10.0))}
+        prior = IndependentPrior(uniform(GRID), t_priors)
+        menu = [Around(40.0), Between(10.0, 70.0)]
+        _, wide = _literal_rows(prior, menu)
+        t_priors["around"] = uniform(np.arange(0.0, 21.0, 10.0))
+        _, narrow = _literal_rows(prior, menu)
+        assert builds == [2, 2]
+        want = literal_listener_strategy(IndependentPrior(uniform(GRID), dict(t_priors)), menu)
+        assert narrow.tobytes() == want.matrix.tobytes() != wide.tobytes()
+        # an equal but distinct t prior is a different object as well
+        t_priors["around"] = uniform(np.arange(0.0, 21.0, 10.0))
+        _literal_rows(prior, menu)
+        assert builds == [2, 2, 2, 2]
+
+    def test_message_with_no_row_raises_every_time_and_is_not_kept(self, builds):
+        prior = table_prior()
+        alive = [Around(40.0)]
+        _, matrix = _literal_rows(prior, alive)
+        kept = listener._last_rows
+        menu = [Around(40.0), Exact(5.0)]  # 5 is off the grid
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ZeroPosterior) as info:
+                _literal_rows(prior, menu)
+            errors.append(info.value)
+        assert len({id(e) for e in errors}) == 3
+        assert listener._last_rows is kept
+        assert builds == [1, 2, 2, 2]
+        assert _literal_rows(prior, alive)[1] is matrix
+
+    def test_one_build_for_iterate_and_its_check(self, builds):
+        prior = table_prior()
+        obs = [Observation("o1", Dist(GRID, around_closed_form(4).probs)),
+               Observation("o2", Dist(GRID, (0.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.4, 0.2, 0.1)))]
+        menu = precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+        trace = iterate(prior, menu, obs, [0.5, 0.5])
+        report = check_fixed_point(*trace.final, prior, menu, obs, [0.5, 0.5])
+        assert builds == [len(menu)]
+        equal_menu = precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+        fresh = check_fixed_point(*trace.final, prior, equal_menu, obs, [0.5, 0.5])
+        assert builds == [len(menu)] * 2
+        assert report.ok and fresh == report

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,20 @@ class TestParsing:
             message_from_json({"kind": "exact", "args": ["40"]})
         with pytest.raises(MessageParseError):
             message_from_json(["around", 40])
+
+    @pytest.mark.parametrize("text, obj", [
+        ("between 10 nan", {"kind": "between", "args": [10, math.nan]}),
+        ("between -inf 10", {"kind": "between", "args": [-math.inf, 10]}),
+        ("around inf", {"kind": "around", "args": [math.inf]}),
+        ("exactly NaN", {"kind": "exact", "args": [math.nan]}),
+        ("at least 1e400", {"kind": "at_least", "args": [10 ** 400]}),
+        ("at most -infinity", {"kind": "at_most", "args": [-math.inf]}),
+    ])
+    def test_non_finite_numbers_are_parse_errors(self, text, obj):
+        with pytest.raises(MessageParseError, match="finite"):
+            parse_message(text)
+        with pytest.raises(MessageParseError, match="finite"):
+            message_from_json(obj)
 
 
 @given(st.floats(min_value=-100, max_value=100),
