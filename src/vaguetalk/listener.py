@@ -287,7 +287,7 @@ def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarra
     The first message in menu order that has no row raises its error, so an
     error met at message j waits until the rows before it are known to be alive.
     The matrix is read-only: a call with the same objects as the last
-    successful one returns the same arrays, unbuilt.
+    successful one returns the same arrays without building them again.
     """
     global _last_rows
     key, last = _rows_key(prior, menu), _last_rows
