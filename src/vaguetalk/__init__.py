@@ -11,7 +11,7 @@ cheap-talk games (``games``), canned reproduction scenarios
 from .prob import (Dist, normalize, uniform, point_mass, regrid, kl_divergence,
                    surprisal, softmax, AllZeroWeights, LengthMismatch,
                    SupportMismatch, ValueNotInSupport, AllUtilitiesNegativeInfinite)
-from .messages import (Message, Exact, Between, AtLeast, AtMost, Around, Threshold,
+from .messages import (Message, Exact, Between, AtLeast, AtMost, Around, Threshold, Menu,
                        TALL, SHORT, denotation, denotation_vector,
                        precise_alternatives, vague_alternatives, message_from_json,
                        parse_message, MissingParameter, MessageParseError)

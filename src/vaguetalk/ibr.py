@@ -37,7 +37,7 @@ import numpy as np
 
 from .listener import JointPrior, _literal_rows
 from .listener import literal_update  # noqa: F401  unused; perfbench/tracing.py wraps it by name
-from .messages import Message
+from .messages import Menu, Message
 from .prob import (Dist, SupportMismatch, _kl_rows, _quantized, _stochastic_rows,
                    kl_divergence, softmax)
 from .speaker import NoTruthfulMessage, Observation, SpeakerStrategy, _argmax_with_tiebreak
@@ -90,7 +90,7 @@ class RecursionTrace:
     convergence means the last residual fell below tol.
     """
 
-    menu: tuple[Message, ...]
+    menu: Sequence[Message]  # a Menu as given, any other sequence as a tuple
     levels: list[tuple[SpeakerStrategy | None, ListenerStrategy]]
     converged: bool
     fixed_point_level: int | None
@@ -243,8 +243,8 @@ def iterate(prior: JointPrior, menu: Sequence[Message],
         raise ValueError("tol must be positive")
     w = _observation_weights(weights, observations)
     L0 = literal_listener_strategy(prior, menu)
-    trace = RecursionTrace(menu=tuple(menu), levels=[(None, L0)],
-                           converged=False, fixed_point_level=None)
+    trace = RecursionTrace(menu=menu if isinstance(menu, Menu) else tuple(menu),
+                           levels=[(None, L0)], converged=False, fixed_point_level=None)
     seen: dict[tuple[bytes, ...], int] = {}
     prev: tuple[SpeakerStrategy, ListenerStrategy, np.ndarray] | None = None
     u0 = _utilities(observations, L0)

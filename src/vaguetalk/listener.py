@@ -11,12 +11,12 @@ a product, one t prior per vague kind. ``ExplicitJointPrior`` carries a
 full (x, t) probability matrix for a single kind, for experiments where
 the independence assumption is dropped.
 
-A menu's rows are built as one matrix, the L0 matrix, in array passes.
-One pass over the menu sorts the messages by exact type. Every precise
-message is a (lo, hi) interval, so their rows are one mask over the grid.
-The "around" messages under an independent prior share broadcast
-denotations |x - c| <= t, a block of centres at a time, summed over t one
-row at a time so that each row rounds as it does alone. Other messages (thresholds, subclasses, an
+A menu's rows are built as one matrix, the L0 matrix, in array passes
+over the arrays of a ``messages.Menu``. Every precise message is a (lo, hi)
+interval, so their rows are one mask over the grid. The "around" messages
+under an independent prior share broadcast denotations |x - c| <= t, a
+block of centres at a time, summed over t one row at a time so that each
+row rounds as it does alone. Other messages (thresholds, subclasses, an
 explicit joint) are built one at a time.
 
 Every posterior the package serves is a row of that update. The closed
@@ -29,25 +29,25 @@ and scenario mode "closedform" uses only their precondition errors.
 The last L0 matrix built without an error is kept in one module-level
 entry, keyed by the identity of the objects it was built from: the prior,
 an independent prior's x prior and each (kind, t prior) pair of its
-``t_priors`` dict, and every menu message. A call with the same objects, as
+``t_priors`` dict, and the menu: a Menu (as the builders return) by its
+own identity, any other sequence by that of each message, so the two
+kinds of key never match. A call with the same objects, as
 ``ibr.check_fixed_point`` makes after ``ibr.iterate``, gets the same
 read-only arrays back; a fresh menu of equal messages, or a swapped
-``t_priors`` entry, builds anew. The entry holds those objects, the grid and
-the matrix alive until the next successful build replaces it. A message
-with no row raises afresh on every call.
+``t_priors`` entry, builds anew. The entry holds those objects, the grid
+and the matrix alive until the next successful build replaces it. A
+message with no row raises afresh on every call.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .messages import (Around, AtLeast, AtMost, Between, Exact, Message, Threshold,
-                       denotation_vector)
+from .messages import AROUND, Around, Menu, Message, Threshold, denotation_vector
 from .prob import Dist, _is_grid, normalize
 
 __all__ = [
@@ -152,16 +152,16 @@ def _message_weights(prior: JointPrior, m: Message, xs: np.ndarray,
                             f"message needs {m.param_kind!r}")
 
 
-def _interval_weights(xs: np.ndarray, x_probs: np.ndarray, lows: list[float],
-                      highs: list[float]) -> np.ndarray:
-    """The (len(lows), n) weights x_probs * [lo <= x <= hi], one row per bounds pair.
+def _interval_weights(xs: np.ndarray, x_probs: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """The (len(lo), n) weights x_probs * [lo <= x <= hi], one row per bounds pair.
 
     A function of its own so that the mask is freed before the "around" rows
     are built: held past the multiply, it raised the minor page faults of an
     IBR run on a 902-message menu.
     """
-    mask = np.greater_equal(xs, np.array(lows, dtype=float)[:, None])
-    mask &= xs <= np.array(highs, dtype=float)[:, None]
+    mask = np.greater_equal(xs, lo[:, None])
+    mask &= xs <= hi[:, None]
     return np.multiply(x_probs, mask)
 
 
@@ -169,7 +169,7 @@ def _interval_weights(xs: np.ndarray, x_probs: np.ndarray, lows: list[float],
 _AROUND_BLOCK_CELLS = 1 << 20
 
 
-def _around_rows(weights: np.ndarray, rows: list[int], centers: list[float],
+def _around_rows(weights: np.ndarray, rows: np.ndarray, centers: np.ndarray,
                  xs: np.ndarray, x_probs: np.ndarray, t: Dist) -> None:
     """Write the weights of the "around" messages at ``rows`` into ``weights``.
 
@@ -181,7 +181,7 @@ def _around_rows(weights: np.ndarray, rows: list[int], centers: list[float],
     the same way: one stacked product casts the whole stack to a float
     temporary, and a flattened (b*n, T) product rounds differently.
     """
-    c = np.array(centers)[:, None, None]
+    c = centers[:, None, None]
     step = max(1, _AROUND_BLOCK_CELLS // (xs.size * t.support.size))
     for b in range(0, len(rows), step):
         truth = np.abs(xs[:, None] - c[b:b + step]) <= t.support
@@ -194,16 +194,13 @@ def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
                       ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """The x grid, the L0 matrix, and the error of each message that has no row.
 
-    Row j is the posterior after menu[j]. One pass over the menu sorts the
-    messages by exact type (a subclass takes the per-message route): the
-    precise rows are one (lo, hi) mask over the grid for the whole menu,
-    multiplied into the L0 buffer; the "around" rows under an independent
-    prior with an "around" t prior share broadcast denotations, a block of
-    centres at a time, and sum over t one row at a time, so that each
-    rounds as it does alone (``_around_rows``); every other row is built on its own. A message
-    whose weights cannot be built keeps that error, and a message false
-    everywhere gets a ZeroPosterior; both keep a zero row. All other rows
-    are normalised at once.
+    Row j is the posterior after menu[j], read from ``Menu.of(menu)``: the
+    interval rows are one (lo, hi) mask over the grid made the L0 buffer,
+    the "around" rows under an "around" t prior of an independent prior come
+    from ``_around_rows``, and every other row is built on its own. A
+    message whose weights cannot be built keeps that error, and a message
+    false everywhere gets a ZeroPosterior; both keep a zero row. All other
+    rows are normalised at once.
     """
     if isinstance(prior, IndependentPrior):
         xs, x_probs = prior.x.support, prior.x.probs
@@ -213,42 +210,17 @@ def _literal_outcomes(prior: JointPrior, menu: Sequence[Message]
         around_t = None
     else:
         raise TypeError(f"unknown prior type {type(prior).__name__}")
-    lows, highs, other, errors = [], [], {}, {}
-    around_rows, centers = [], []
-    for j, m in enumerate(menu):
-        kind = type(m)
-        if kind is Between:
-            lows.append(m.lo)
-            highs.append(m.hi)
-            continue
-        if kind is Exact:
-            lows.append(m.value)
-            highs.append(m.value)
-            continue
-        if kind is AtLeast:
-            lows.append(m.lo)
-            highs.append(math.inf)
-            continue
-        if kind is AtMost:
-            lows.append(-math.inf)
-            highs.append(m.hi)
-            continue
-        # a centre that is not a float keeps its own route, and its own error
-        if kind is Around and around_t is not None and isinstance(m.center, float):
-            around_rows.append(j)
-            centers.append(m.center)
-        else:
-            try:
-                other[j] = _message_weights(prior, m, xs, x_probs)
-            except (TypeError, ValueError) as exc:
-                errors[j] = exc
-        lows.append(math.inf)  # an empty mask, overwritten below
-        highs.append(-math.inf)
-    weights = _interval_weights(xs, x_probs, lows, highs)
-    if around_rows:
-        _around_rows(weights, around_rows, centers, xs, x_probs, around_t)
-    for j, w in other.items():
-        weights[j] = w
+    menu, errors = Menu.of(menu), {}
+    weights = _interval_weights(xs, x_probs, menu.lo, menu.hi)
+    around = (menu.codes == AROUND) & (around_t is not None)
+    if around.any():
+        rows = np.flatnonzero(around)
+        _around_rows(weights, rows, menu.centres[rows], xs, x_probs, around_t)
+    for j in np.flatnonzero((menu.codes >= AROUND) & ~around).tolist():
+        try:
+            weights[j] = _message_weights(prior, menu[j], xs, x_probs)
+        except (TypeError, ValueError) as exc:
+            errors[j] = exc
     # rows are nonnegative, so a row sums to 0 exactly when no entry is positive
     totals = weights.sum(axis=1, keepdims=True)
     if not totals.all():
@@ -266,10 +238,11 @@ _last_rows: tuple | None = None
 
 def _rows_key(prior: JointPrior, menu: Sequence[Message]) -> tuple:
     """The objects an L0 matrix is a function of: the prior, an independent
-    prior's x prior and (kind, t prior) pairs, and the menu's messages."""
+    prior's x prior and (kind, t prior) pairs, and a Menu or the messages."""
+    menu = menu if isinstance(menu, Menu) else tuple(menu)
     if isinstance(prior, IndependentPrior):
-        return prior, prior.x, tuple(prior.t_priors.items()), tuple(menu)
-    return prior, None, (), tuple(menu)
+        return prior, prior.x, tuple(prior.t_priors.items()), menu
+    return prior, None, (), menu
 
 
 def _same_key(a: tuple, b: tuple) -> bool:
@@ -278,7 +251,8 @@ def _same_key(a: tuple, b: tuple) -> bool:
     (prior, x, ts, menu), (prior_b, x_b, ts_b, menu_b) = a, b
     return (prior is prior_b and x is x_b and len(ts) == len(ts_b)
             and all(k == k_b and t is t_b for (k, t), (k_b, t_b) in zip(ts, ts_b))
-            and len(menu) == len(menu_b) and all(map(operator.is_, menu, menu_b)))
+            and (menu is menu_b or type(menu) is tuple is type(menu_b)
+                 and len(menu) == len(menu_b) and all(map(operator.is_, menu, menu_b))))
 
 
 def _literal_rows(prior: JointPrior, menu: Sequence[Message]) -> tuple[np.ndarray, np.ndarray]:

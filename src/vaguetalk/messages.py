@@ -11,6 +11,7 @@ Listeners resolve the open parameter with a prior; see ``listener``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,6 +27,7 @@ __all__ = [
     "AtMost",
     "Around",
     "Threshold",
+    "Menu",
     "TALL",
     "SHORT",
     "denotation",
@@ -229,53 +231,136 @@ def _checked_grid(grid) -> np.ndarray:
     return g
 
 
-def precise_alternatives(grid) -> list[Message]:
+#: the kind code of each menu row: the five kinds the arrays hold, and OTHER
+EXACT, BETWEEN, AT_LEAST, AT_MOST, AROUND, OTHER = range(6)
+_ROWS = {
+    Exact: lambda m: (EXACT, m.value, m.value, math.nan),
+    Between: lambda m: (BETWEEN, m.lo, m.hi, math.nan),
+    AtLeast: lambda m: (AT_LEAST, m.lo, math.inf, math.nan),
+    AtMost: lambda m: (AT_MOST, -math.inf, m.hi, math.nan),
+    Around: lambda m: (AROUND, math.inf, -math.inf, m.center),
+}
+
+
+def _row(m, number=float) -> tuple | None:
+    """(kind code, lo, hi, centre) of a message of a ``_ROWS`` kind (by exact
+    type) whose fields are ``number``s, or None."""
+    row = _ROWS.get(type(m))
+    row = row and row(m)
+    return row if row and all(map(isinstance, row[1:], (number,) * 3)) else None
+
+
+def _message(code, lo, hi, centre) -> Message:
+    """The message of a row the arrays alone hold, as the menu builders make it."""
+    return Around(centre) if code == AROUND else Exact(lo) if code == EXACT else Between(lo, hi)
+
+
+class Menu(Sequence):
+    """An immutable sequence of messages, held as read-only arrays.
+
+    Row j has a kind code, bounds ``lo[j] <= x <= hi[j]`` ((+inf, -inf) off
+    intervals), an "around" centre (else NaN), and a slot: the caller's own
+    message, or None when ``menu[j]`` builds it from the arrays. Slices and
+    ``+`` with a Menu, list or tuple (on either side) give Menus; like a
+    list, a Menu equals a list or tuple of equal messages and is unhashable.
+    """
+
+    __slots__ = ("codes", "lo", "hi", "centres", "slots")
+
+    def __init__(self, codes, lo, hi, centres, slots: tuple) -> None:
+        arrays = np.asarray(codes, np.int8), *(np.asarray(a, float) for a in (lo, hi, centres))
+        for name, value in zip(self.__slots__, arrays):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "slots", slots)
+
+    @classmethod
+    def of(cls, messages: Sequence[Message]) -> Menu:
+        """``messages`` as a Menu that keeps each of them by identity; a Menu
+        itself. Thresholds, subclasses and non-float fields get code OTHER."""
+        if isinstance(messages, Menu):
+            return messages
+        slots = tuple(messages)
+        rows = [_row(m) or (OTHER, math.inf, -math.inf, math.nan) for m in slots]
+        return cls(*zip(*rows), slots) if rows else cls((), (), (), (), ())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Menu is immutable: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return Menu(self.codes[j], self.lo[j], self.hi[j], self.centres[j], self.slots[j])
+        m = self.slots[j]
+        return m if m is not None else _message(self.codes[j], self.lo[j], self.hi[j],
+                                                self.centres[j])
+
+    def __iter__(self):
+        rows = zip(self.slots, self.codes.tolist(), self.lo, self.hi, self.centres)
+        return (m if m is not None else _message(code, lo, hi, c) for m, code, lo, hi, c in rows)
+
+    def __add__(self, other):
+        if not isinstance(other, (Menu, list, tuple)):
+            return NotImplemented
+        other = Menu.of(other)
+        return Menu(*(np.concatenate((getattr(self, name), getattr(other, name)))
+                      for name in self.__slots__[:4]), self.slots + other.slots)
+
+    def __radd__(self, other):
+        return Menu.of(other) + self if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, (Menu, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def index(self, m, start: int = 0, stop: int | None = None) -> int:
+        """``list.index``; a probe of a ``_ROWS`` kind with int or float fields
+        is compared with the arrays, building no message from them."""
+        start, stop, _ = slice(start, stop).indices(len(self))
+        row, part, hits = _row(m, (int, float)), slice(start, stop), range(start, stop)
+        if row is not None:
+            code, lo, hi, centre = row
+            equal = (self.codes[part] == code) & (self.lo[part] == lo) & (self.hi[part] == hi)
+            if code == AROUND:
+                equal &= self.centres[part] == centre
+            # the caller's own messages are compared as objects, as a list would
+            equal |= np.fromiter((s is not None for s in self.slots[part]), bool, len(equal))
+            hits = (np.flatnonzero(equal) + start).tolist()
+        for j in hits:  # a hit held by the arrays alone equals an array-kind probe
+            if row is not None and self.slots[j] is None or (x := self[j]) is m or x == m:
+                return j
+        raise ValueError(f"{m!r} is not in the menu")
+
+
+def precise_alternatives(grid) -> Menu:
     """All precise interval messages on a finite, strictly increasing grid.
 
-    Every Between(lo, hi) with lo <= hi over grid values, ordered by lo
-    then hi; exact messages appear as the lo == hi case. These n(n+1)/2
-    messages denote distinct grid subsets, and no half-line is needed:
-    at-least v denotes what between v and the grid maximum does, and
-    at-most v what between the grid minimum and v does. The result is the
-    full precise answer menu, with no explicitly probabilistic messages.
-
-    The grid is checked once, so lo < hi holds for every Between by
-    construction; the messages are made without ``__init__`` (and its
-    per-message interval check), their fields the grid's ``np.float64``
-    values. They are equal to, hash and print as the constructors' messages,
-    and stay frozen. Fields are set with ``object.__setattr__``, as the
-    frozen ``__init__`` sets them; writing into ``__dict__`` instead gives
-    each message a dict of its own and the menu 60% more memory. This path
-    skips ``__post_init__``, so a check or normalisation added there must
-    be added here too; a test compares this menu with the constructors'
-    field by field. Built through the constructors instead, the menu made
-    the ``ibr-wide`` benchmark's median op about 1.2x slower
-    (``BENCH_literal_passes.json``).
+    Exact(lo), then every Between(lo, hi) with lo < hi, over grid values in
+    order of lo: n(n+1)/2 messages that denote distinct grid subsets. No
+    half-line is needed, since at-least v denotes what between v and the
+    grid maximum does, and at-most v what between the grid minimum and v does.
     """
-    values = list(_checked_grid(grid))
-    menu = []
-    new, put = object.__new__, object.__setattr__
-    for i, lo in enumerate(values):
-        m = new(Exact)
-        put(m, "value", lo)
-        menu.append(m)
-        for hi in values[i + 1:]:
-            m = new(Between)
-            put(m, "lo", lo)
-            put(m, "hi", hi)
-            menu.append(m)
-    return menu
+    g = _checked_grid(grid)
+    index = np.arange(g.size)
+    lo, hi = np.nonzero(index[:, None] <= index)  # np.triu_indices(g.size), in a fifth of the time
+    return Menu(np.where(lo == hi, EXACT, BETWEEN), g[lo], g[hi], np.full(lo.size, math.nan),
+                (None,) * lo.size)
 
 
-def vague_alternatives(grid, kind: str) -> list[Message]:
-    """The vague message menu for a grid: one Around per grid point, or the
-    tall/short threshold pair. The grid is checked as ``precise_alternatives``
-    checks it."""
+def vague_alternatives(grid, kind: str) -> Menu:
+    """One Around per grid point, or the tall/short threshold pair, as a
+    Menu; the grid is checked as ``precise_alternatives`` checks it."""
     g = _checked_grid(grid)
     if kind == "around":
-        return [Around(v) for v in g]
+        return Menu(np.full(g.size, AROUND), np.full(g.size, math.inf),
+                    np.full(g.size, -math.inf), g.copy(), (None,) * g.size)
     if kind == "threshold":
-        return [TALL, SHORT]
+        return Menu.of([TALL, SHORT])
     raise ValueError(f"unknown vague kind {kind!r}")
 
 
@@ -292,7 +377,7 @@ _JSON_KINDS = {
 
 def message_from_json(obj: dict) -> Message:
     """Decode the ``{"kind": ..., "args": [...]}`` wire form; every arg must be
-    a finite number."""
+    a finite number, and JSON ``true`` and ``false`` are not numbers."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MessageParseError(f"not a message object: {obj!r}")
     kind = obj["kind"]
@@ -300,7 +385,8 @@ def message_from_json(obj: dict) -> Message:
     if kind not in _JSON_KINDS:
         raise MessageParseError(f"unknown message kind {kind!r}")
     cls, arity = _JSON_KINDS[kind]
-    if len(args) != arity or not all(isinstance(a, (int, float)) for a in args):
+    numeric = all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in args)
+    if len(args) != arity or not numeric:
         raise MessageParseError(f"kind {kind!r} expects {arity} numeric args, got {args!r}")
     try:
         values = [float(a) for a in args]

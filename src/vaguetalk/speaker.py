@@ -112,7 +112,7 @@ def _argmax_with_tiebreak(menu: Sequence[Message], utilities: np.ndarray) -> int
         raise NoTruthfulMessage("every message violates truthfulness for this observation")
     # exact float ties only; vague messages win ties, then lowest menu index
     tied = [int(i) for i in np.flatnonzero(utilities == best)]
-    return min(tied, key=lambda i: (not menu[i].vague, i))
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda i: (not menu[i].vague, i))
 
 
 def best_index(o: Observation, menu: Sequence[Message],

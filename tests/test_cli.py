@@ -385,6 +385,11 @@ TABLE_FILES = {
         "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
         "menu": [{"kind": "between", "args": [10, math.nan]}],
     },
+    "bool_bound.json": {  # JSON true and false are not the numbers 1 and 0
+        "grid": {"min": 0, "max": 2, "step": 1, "unit": "u"},
+        "observations": [{"id": "o", "probs": [0.5, 0.5, 0.0], "weight": 1}],
+        "menu": [{"kind": "between", "args": [False, True]}],
+    },
     "oversize.json": {
         "grid": {**OVERSIZE["grid"][0], "unit": "u"},
         "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
@@ -405,6 +410,7 @@ EXIT_CODES = [
     (("speak", ATTENDANCE), 0),
     (("speak", ATTENDANCE, "--observation", "nosuch"), 2),
     (("speak", "closedform.json"), 3),
+    (("speak", "bool_bound.json"), 2),
     (("speak", "hopeless.json"), 4),
     (("speak", "oversize.json"), 5),
     (("ibr", ATTENDANCE), 0),

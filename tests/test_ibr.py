@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguetalk import (Around, AtLeast, AtMost, Between, DeadMessageNoFallback, Dist,
+from vaguetalk import ibr
+from vaguetalk import (Around, AtLeast, AtMost, Between, DeadMessageNoFallback, Dist, Exact,
                        IndependentPrior, ListenerStrategy, Observation,
                        SpeakerStrategy, SupportMismatch, check_fixed_point,
                        expected_utility, iterate, kl_divergence, listener_response,
@@ -451,6 +452,36 @@ class TestIterate:
                              lam_or_default, fallback_on))
 
     @settings(max_examples=150, deadline=None)
+    @given(recursion_cases(), st.sampled_from([("hardmax", None), ("softmax", 4.0)]),
+           st.booleans(), st.data())
+    def test_a_menu_reads_as_the_list_of_its_messages(self, case, mode_lam, fallback_on,
+                                                      data):
+        # builder rows before the case's own messages, so that the Menu holds
+        # array rows and objects; the list holds the messages it reads as
+        prior, user, obs, weights = case
+        grid = prior.x.support
+        pool = precise_alternatives(grid) + vague_alternatives(grid, "around")
+        menu = pool[:data.draw(st.integers(min_value=0, max_value=len(pool)))] + user
+        mode, lam = mode_lam
+        traces = [outcome(iterate, prior, m, obs, weights, mode=mode, lam=lam, max_levels=4,
+                          dead_message_fallback=fallback_on) for m in (menu, list(menu))]
+        if isinstance(traces[1], tuple):
+            assert traces[0] == traces[1]
+            return
+        got, want = traces
+        assert got.menu is menu and want.menu == tuple(menu)
+        assert [(s is None or s.matrix.tobytes(), l.matrix.tobytes()) for s, l in got.levels] == \
+            [(s is None or s.matrix.tobytes(), l.matrix.tobytes()) for s, l in want.levels]
+        assert (got.residuals, got.converged, got.fixed_point_level, got.cycle_detected) == \
+            (want.residuals, want.converged, want.fixed_point_level, want.cycle_detected)
+        S, L = got.final
+        for check_menu in (menu, list(menu)):
+            assert repr(outcome(check_fixed_point, S, L, prior, check_menu, obs, weights,
+                                mode=mode, lam=lam, dead_message_fallback=fallback_on)) == \
+                repr(outcome(check_fixed_point, S, L, prior, list(menu), obs, weights,
+                             mode=mode, lam=lam, dead_message_fallback=fallback_on))
+
+    @settings(max_examples=150, deadline=None)
     @given(recursion_cases(), st.sampled_from(["same menu", "equal menu", "user listener"]),
            st.booleans(), st.data())
     def test_check_matches_the_dense_check_whatever_l0_it_reads(self, case, source,
@@ -528,6 +559,35 @@ def keyed_levels(draw):
                 matrix[j] = draw(stochastic_rows(1, n))[0]
         levels.append((S, ListenerStrategy(L0.grid, matrix), sent))
     return L0, levels
+
+
+def test_a_run_on_builder_menus_builds_messages_only_to_break_ties(monkeypatch):
+    # the precise + around menu on 41 points, hard-max iterate and its check:
+    # every message object is made by a constructor, and only the hard-max
+    # tie-break between equally good messages reads one
+    built, tied = [], []
+    for cls in (Exact, Between, Around):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    tiebreak = ibr._argmax_with_tiebreak
+
+    def counted_ties(menu, u):
+        n = int(np.count_nonzero(u == np.max(u)))
+        tied.append(n if n > 1 else 0)
+        return tiebreak(menu, u)
+
+    monkeypatch.setattr(ibr, "_argmax_with_tiebreak", counted_ties)
+    grid = np.arange(0.0, 41.0)
+    prior = IndependentPrior(uniform(grid), {"around": uniform(np.arange(0.0, 21.0))})
+    rng = np.random.default_rng(5)
+    tents = [rng.random(41) * (np.abs(grid - c) < 6) for c in (12.0, 27.0)]
+    obs = [Observation(f"o{i}", Dist(grid, w / w.sum())) for i, w in enumerate(tents)]
+    menu = precise_alternatives(grid) + vague_alternatives(grid, "around")
+    trace = iterate(prior, menu, obs, [0.5, 0.5])
+    assert check_fixed_point(*trace.final, prior, menu, obs, [0.5, 0.5]).ok
+    assert len(tied) >= 2 and len(built) <= sum(tied)
 
 
 class TestCycleKey:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exact,
-                       ExplicitJointPrior, IndependentPrior, Message, MissingParamPrior,
+                       ExplicitJointPrior, IndependentPrior, Menu, Message, MissingParamPrior,
                        NonUniformPreconditionViolated, Observation, Threshold, ZeroPosterior,
                        around_closed_form, check_fixed_point, closed_form_posterior,
                        denotation, denotation_vector, iterate,
@@ -616,6 +616,23 @@ def _error_key(exc):
     return type(exc), str(exc)
 
 
+@st.composite
+def l0_menu_cases(draw):
+    """``l0_cases`` with its menu and builder menus on the prior's grid joined
+    by + in either order, then sliced: a Menu whose rows are arrays (precise
+    and "around") and objects (the menu of ``l0_cases`` and the threshold pair)."""
+    prior, user = draw(l0_cases())
+    grid = prior.x.support if isinstance(prior, IndependentPrior) else prior.x_support
+    pieces = [precise_alternatives(grid), vague_alternatives(grid, "around"),
+              vague_alternatives(grid, "threshold"), user]
+    menu = Menu.of(draw(st.sampled_from(pieces)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        piece = draw(st.sampled_from(pieces))
+        menu = menu + piece if draw(st.booleans()) else piece + menu
+    start = draw(st.integers(min_value=0, max_value=len(menu) - 1))
+    return prior, menu[start:]
+
+
 class TestL0AgainstPerMessageKernel:
     @given(l0_cases())
     @settings(max_examples=300, deadline=None)
@@ -640,6 +657,26 @@ class TestL0AgainstPerMessageKernel:
             else:
                 oracle = explicit_enumeration(prior, m)
             assert np.max(np.abs(got[j] - oracle)) <= 1e-12
+
+    @given(l0_menu_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_menu_matches_its_list_and_the_per_message_kernel(self, case):
+        prior, menu = case
+        assert isinstance(menu, Menu)
+        xs, got, errors = _literal_outcomes(prior, menu)
+        for route in (_literal_outcomes, parent_literal_outcomes):
+            want_xs, want, want_errors = route(prior, list(menu))
+            assert xs.tobytes() == want_xs.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert {j: _error_key(e) for j, e in errors.items()} == \
+                {j: _error_key(e) for j, e in want_errors.items()}
+        for same in (menu, list(menu)):
+            if errors:
+                with pytest.raises(Exception) as raised:
+                    _literal_rows(prior, same)
+                assert _error_key(raised.value) == _error_key(errors[min(errors)])
+            else:
+                assert _literal_rows(prior, same)[1].tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("blocks", [1, 13 * 6, 5 * 13 * 6 + 1])
     def test_around_blocks_match_per_message_kernel(self, monkeypatch, blocks):
@@ -700,13 +737,26 @@ def builds(monkeypatch):
 class TestL0Store:
     def test_same_objects_give_the_same_read_only_arrays(self, builds):
         prior = table_prior()
-        menu = precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+        # a list of messages keys on the identity of each message
+        menu = list(precise_alternatives(GRID) + vague_alternatives(GRID, "around"))
         grid, matrix = _literal_rows(prior, menu)
         assert not matrix.flags.writeable
         for same in (menu, tuple(menu), list(menu)):
             again = _literal_rows(prior, same)
             assert again[0] is grid and again[1] is matrix
         assert builds == [len(menu)]
+        # a Menu keys on its own identity, and never matches a sequence of its messages
+        arrays = precise_alternatives(GRID) + vague_alternatives(GRID, "around")
+        _, from_arrays = _literal_rows(prior, arrays)
+        assert _literal_rows(prior, arrays)[1] is from_arrays
+        assert builds == [len(menu)] * 2 and from_arrays.tobytes() == matrix.tobytes()
+        messages = list(arrays)
+        _, from_messages = _literal_rows(prior, messages)
+        assert from_messages is not from_arrays
+        assert _literal_rows(prior, messages)[1] is from_messages
+        assert _literal_rows(prior, arrays)[1] is not from_messages
+        assert _literal_rows(prior, Menu.of(messages))[1] is not from_messages
+        assert builds == [len(menu)] * 5
 
     def test_equal_fresh_menu_is_built_anew(self, builds):
         prior = table_prior()

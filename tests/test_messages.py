@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Exact,
-                       IndependentPrior, Message, MessageParseError, MissingParameter,
+                       IndependentPrior, Menu, Message, MessageParseError, MissingParameter,
                        Threshold, denotation, denotation_vector, literal_update,
                        message_from_json, parse_message, precise_alternatives, uniform,
                        vague_alternatives)
@@ -191,6 +192,144 @@ class TestMenus:
         assert len(precise_alternatives(grid)) == n * (n + 1) // 2
 
 
+class Roughly(Around):
+    """A subclass of Around: a Menu keeps it as an object."""
+
+
+#: a sorted grid of 1 to 12 distinct points
+grids = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1,
+                 max_size=12, unique=True).map(sorted)
+
+
+def user_messages(points):
+    """Messages a caller makes: every kind, float fields on and off the grid,
+    int fields, a subclass, and the threshold pair."""
+    value = st.one_of(st.sampled_from(points), st.floats(min_value=-1e6, max_value=1e6),
+                      st.integers(min_value=-3, max_value=3))
+    return st.one_of(value.map(Exact), value.map(AtLeast), value.map(AtMost),
+                     st.tuples(value, value).map(lambda b: Between(min(b), max(b))),
+                     value.map(Around), value.map(Roughly), st.sampled_from([TALL, SHORT]))
+
+
+@st.composite
+def menus(draw):
+    """(menu, the messages it should read as, the user objects in it): builder
+    menus and user lists joined by + in either direction, then sliced."""
+    values = draw(grids)
+    grid, points = np.array(values), list(np.asarray(values, dtype=float))
+    pieces = [
+        (precise_alternatives(grid), [Exact(lo) if i == j else Between(lo, points[j])
+                                      for i, lo in enumerate(points)
+                                      for j in range(i, len(points))]),
+        (vague_alternatives(grid, "around"), [Around(v) for v in points]),
+        (vague_alternatives(grid, "threshold"), [TALL, SHORT]),
+    ]
+    menu, want = draw(st.sampled_from(pieces))
+    users = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            piece = piece_want = draw(st.lists(user_messages(points), max_size=4))
+            users += piece
+        else:
+            piece, piece_want = draw(st.sampled_from(pieces))
+        if draw(st.booleans()):
+            menu, want = menu + piece, want + piece_want
+        else:  # a user list goes through Menu.__radd__
+            menu, want = piece + menu, piece_want + want
+    start, stop = draw(st.integers(-3, 3)), draw(st.none() | st.integers(-3, 40))
+    step = draw(st.sampled_from([None, 1, 2, -1]))
+    return menu[start:stop:step], want[start:stop:step], users
+
+
+def twin(m):
+    """An equal message with its int fields as floats and its whole float
+    fields as ints: a Menu holds the one in its arrays, the other as an object."""
+    if type(m) not in (Exact, Between, AtLeast, AtMost, Around):
+        return m
+    return type(m)(*(float(v) if isinstance(v, int) else int(v) if v.is_integer() else v
+                     for v in vars(m).values()))
+
+
+def assert_same_message(got, want):
+    assert type(got) is type(want)
+    assert [(k, type(v)) for k, v in vars(got).items()] == \
+        [(k, type(v)) for k, v in vars(want).items()]
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.label == want.label and got.to_json() == want.to_json()
+
+
+class TestMenuArrays:
+    @given(menus())
+    def test_menus_read_as_the_constructors_messages(self, case):
+        menu, want, users = case
+        assert isinstance(menu, Menu) and len(menu) == len(want)
+        for j, w in enumerate(want):
+            assert_same_message(menu[j], w)
+            assert_same_message(menu[j - len(want)], w)
+        assert all(m is u for m, u in zip(menu, want) if any(u is x for x in users))
+        assert menu == want and want == menu and menu == tuple(want) and tuple(want) == menu
+        assert menu == Menu.of(want) and not menu != want
+        assert menu != want + [TALL] and (menu == want[::-1]) == (want == want[::-1])
+        with pytest.raises(IndexError):
+            menu[len(want)]
+
+    @given(st.lists(user_messages([0.0, 1.5]), max_size=8))
+    def test_of_keeps_the_callers_objects(self, user):
+        menu = Menu.of(user)
+        assert len(menu) == len(user) and all(m is u for m, u in zip(menu, user))
+        assert Menu.of(menu) is menu
+        assert all(m is u for m, u in zip(menu[1:] + user, user[1:] + user))
+
+    @given(menus(), st.data())
+    def test_index_is_list_index(self, case, data):
+        menu, want, users = case
+        points = sorted({v for m in want for v in vars(m).values()
+                         if isinstance(v, float) and math.isfinite(v)} or {0.0})
+        # members, equal copies, int/float twins (of the user objects above
+        # all, which the arrays may not hold), absent messages, int centres
+        members = st.sampled_from(want) if want else st.just(TALL)
+        probes = [twin(m) for m in users] + data.draw(st.lists(st.one_of(
+            members, members.map(copy.copy), members.map(twin), user_messages(points),
+            st.integers(min_value=-3, max_value=12).map(Around)), min_size=1, max_size=4))
+        start = data.draw(st.integers(min_value=-len(want) - 1, max_value=len(want) + 1))
+        stop = data.draw(st.integers(min_value=-len(want) - 1, max_value=len(want) + 1))
+        for probe in probes:
+            for args in ((), (start,), (start, stop)):
+                try:
+                    expected = list(menu).index(probe, *args)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        menu.index(probe, *args)
+                else:
+                    assert menu.index(probe, *args) == expected
+            assert (probe in menu) == (probe in want)
+
+    def test_index_reads_the_arrays(self, monkeypatch):
+        grid = np.arange(0.0, 41.0)
+        menu = precise_alternatives(grid) + vague_alternatives(grid, "around")
+        monkeypatch.setattr(Menu, "__getitem__", None)
+        assert menu.index(Around(20.0)) == 861 + 20 == menu.index(Around(20))
+        assert menu.index(Between(1.0, 3.0)) == 41 + 2 and menu.index(Exact(40.0)) == 860
+        with pytest.raises(ValueError):
+            menu.index(AtLeast(1.0))
+
+    @given(menus())
+    def test_arrays_and_attributes_cannot_be_written(self, case):
+        menu, _, _ = case
+        for name in ("codes", "lo", "hi", "centres"):
+            array = getattr(menu, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            with pytest.raises(AttributeError):
+                setattr(menu, name, array.copy())
+        with pytest.raises(AttributeError):
+            menu.slots = ()
+        with pytest.raises(AttributeError):
+            menu.extra = 1
+        with pytest.raises(TypeError):
+            hash(menu)
+
+
 class TestParsing:
     def test_text_forms(self):
         assert parse_message("around 40") == Around(40.0)
@@ -224,6 +363,13 @@ class TestParsing:
             message_from_json({"kind": "exact", "args": ["40"]})
         with pytest.raises(MessageParseError):
             message_from_json(["around", 40])
+
+    @pytest.mark.parametrize("kind, args", [("between", [False, True]), ("between", [0, True]),
+                                            ("between", [False, 1.0]), ("around", [True]),
+                                            ("exact", [False])])
+    def test_json_booleans_are_not_numbers(self, kind, args):
+        with pytest.raises(MessageParseError, match="numeric args"):
+            message_from_json({"kind": kind, "args": args})
 
     @pytest.mark.parametrize("text, obj", [
         ("between 10 nan", {"kind": "between", "args": [10, math.nan]}),
