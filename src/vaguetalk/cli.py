@@ -189,8 +189,8 @@ def cmd_speak(args: argparse.Namespace) -> int:
 
 def cmd_ibr(args: argparse.Namespace) -> int:
     sc = schema.load_scenario(args.scenario)
-    lam = args.lam if args.lam is not None else sc.lam
-    trace = ibr.iterate(sc.prior, sc.menu, sc.observations, sc.weights,
+    prior, lam = sc.prior, (args.lam if args.lam is not None else sc.lam)  # one L0 for both calls
+    trace = ibr.iterate(prior, sc.menu, sc.observations, sc.weights,
                         mode=args.mode, lam=lam if args.mode == "softmax" else None,
                         max_levels=args.levels, tol=args.tol,
                         dead_message_fallback=not args.no_fallback)
@@ -212,7 +212,7 @@ def cmd_ibr(args: argparse.Namespace) -> int:
     }
     if trace.levels[-1][0] is not None:
         S, L = trace.final
-        check = ibr.check_fixed_point(S, L, sc.prior, sc.menu, sc.observations,
+        check = ibr.check_fixed_point(S, L, prior, sc.menu, sc.observations,
                                       sc.weights, tol=args.tol, mode=args.mode,
                                       lam=lam if args.mode == "softmax" else None,
                                       dead_message_fallback=not args.no_fallback)

@@ -231,8 +231,7 @@ def _checked_grid(grid) -> np.ndarray:
     return g
 
 
-#: the kind code of each menu row: the five kinds the arrays hold, and OTHER
-EXACT, BETWEEN, AT_LEAST, AT_MOST, AROUND, OTHER = range(6)
+EXACT, BETWEEN, AT_LEAST, AT_MOST, AROUND, OTHER = range(6)  # the kind code of a menu row
 _ROWS = {
     Exact: lambda m: (EXACT, m.value, m.value, math.nan),
     Between: lambda m: (BETWEEN, m.lo, m.hi, math.nan),
@@ -243,8 +242,8 @@ _ROWS = {
 
 
 def _row(m, number=float) -> tuple | None:
-    """(kind code, lo, hi, centre) of a message of a ``_ROWS`` kind (by exact
-    type) whose fields are ``number``s, or None."""
+    """(kind code, lo, hi, centre) of a message of exactly a ``_ROWS`` type with
+    ``number`` fields, else None."""
     row = _ROWS.get(type(m))
     row = row and row(m)
     return row if row and all(map(isinstance, row[1:], (number,) * 3)) else None
@@ -311,16 +310,17 @@ class Menu(Sequence):
     def __radd__(self, other):
         return Menu.of(other) + self if isinstance(other, (list, tuple)) else NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, (Menu, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+    def __eq__(self, other):  # as lists compare: by identity, then by ==
+        listed = isinstance(other, (Menu, list, tuple))
+        return list(self) == list(other) if listed else NotImplemented
 
     __hash__ = None
 
+    def __reduce__(self):  # for copy and pickle, which would set the attributes
+        return Menu, (self.codes, self.lo, self.hi, self.centres, self.slots)
+
     def index(self, m, start: int = 0, stop: int | None = None) -> int:
-        """``list.index``; a probe of a ``_ROWS`` kind with int or float fields
-        is compared with the arrays, building no message from them."""
+        """As ``list.index``; a probe of a ``_ROWS`` type is found in the arrays."""
         start, stop, _ = slice(start, stop).indices(len(self))
         row, part, hits = _row(m, (int, float)), slice(start, stop), range(start, stop)
         if row is not None:

@@ -12,7 +12,7 @@ from typing import Any
 import numpy as np
 import pytest
 
-from vaguetalk import cli, games
+from vaguetalk import cli, games, listener
 from vaguetalk.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -146,6 +146,16 @@ class TestIbr:
         assert check["speaker_residual"] == 0.0
         # level 0 has no speaker
         assert report["levels"][0]["speaker"] is None
+
+    def test_iterate_and_its_check_build_one_l0(self, capsys, monkeypatch):
+        # Scenario.prior is a new object on each read, and the L0 store keys on identity
+        builds, build = [], listener._literal_outcomes
+        monkeypatch.setattr(listener, "_literal_outcomes",
+                            lambda prior, menu: builds.append(len(menu)) or build(prior, menu))
+        monkeypatch.setattr(listener, "_last_rows", None)
+        code, out, _ = run(capsys, "ibr", ATTENDANCE)
+        assert code == 0 and json.loads(out)["fixed_point_check"]["listener_ok"]
+        assert builds == [54]
 
     def test_no_fallback_exits_3(self, capsys):
         # 53 menu messages go unsent; without the literal fallback the

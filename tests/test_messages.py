@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -312,6 +313,13 @@ class TestMenuArrays:
         assert menu.index(Between(1.0, 3.0)) == 41 + 2 and menu.index(Exact(40.0)) == 860
         with pytest.raises(ValueError):
             menu.index(AtLeast(1.0))
+
+    @given(menus())
+    def test_copies_and_pickles_read_as_the_menu(self, case):
+        menu, want, _ = case
+        for other in (copy.copy(menu), copy.deepcopy(menu), pickle.loads(pickle.dumps(menu))):
+            assert isinstance(other, Menu) and other == want
+            assert not any(a.flags.writeable for a in (other.codes, other.lo, other.hi))
 
     @given(menus())
     def test_arrays_and_attributes_cannot_be_written(self, case):
