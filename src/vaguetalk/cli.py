@@ -118,11 +118,7 @@ def _emit_json(report: dict, paper: bool = False) -> None:
 
 
 def _fmt_cell(v: Any) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
@@ -189,8 +185,8 @@ def cmd_speak(args: argparse.Namespace) -> int:
 
 def cmd_ibr(args: argparse.Namespace) -> int:
     sc = schema.load_scenario(args.scenario)
-    prior, lam = sc.prior, (args.lam if args.lam is not None else sc.lam)  # one L0 for both calls
-    trace = ibr.iterate(prior, sc.menu, sc.observations, sc.weights,
+    lam = args.lam if args.lam is not None else sc.lam
+    trace = ibr.iterate(sc.prior, sc.menu, sc.observations, sc.weights,
                         mode=args.mode, lam=lam if args.mode == "softmax" else None,
                         max_levels=args.levels, tol=args.tol,
                         dead_message_fallback=not args.no_fallback)
@@ -212,7 +208,7 @@ def cmd_ibr(args: argparse.Namespace) -> int:
     }
     if trace.levels[-1][0] is not None:
         S, L = trace.final
-        check = ibr.check_fixed_point(S, L, prior, sc.menu, sc.observations,
+        check = ibr.check_fixed_point(S, L, sc.prior, sc.menu, sc.observations,
                                       sc.weights, tol=args.tol, mode=args.mode,
                                       lam=lam if args.mode == "softmax" else None,
                                       dead_message_fallback=not args.no_fallback)
@@ -243,13 +239,7 @@ def _resolve_profile(args: argparse.Namespace, game: games.Game,
     if name in profiles:
         return profiles[name]
     if os.path.exists(name):
-        obj = schema._load_json(name)
-        wrapped = {"states": list(game.states),
-                   "prior": [float(v) for v in game.prior],
-                   "messages": list(game.messages), "actions": list(game.actions),
-                   "payoff": [[float(v) for v in r] for r in game.payoff],
-                   "profiles": {"p": obj}}
-        return schema.game_from_obj(wrapped)[1]["p"]
+        return schema._parse_profile(schema._load_json(name), game, f"{name}: profile")
     raise schema.SchemaError(f"profile {name!r} not in file and not a path; "
                              f"file defines {sorted(profiles)}")
 

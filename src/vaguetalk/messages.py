@@ -364,15 +364,42 @@ def vague_alternatives(grid, kind: str) -> Menu:
     raise ValueError(f"unknown vague kind {kind!r}")
 
 
-_JSON_KINDS = {
-    "exact": (Exact, 1),
-    "between": (Between, 2),
-    "at_least": (AtLeast, 1),
-    "at_most": (AtMost, 1),
-    "around": (Around, 1),
-    "tall": (None, 0),
-    "short": (None, 0),
+def _is_number(x) -> bool:
+    """Whether ``x`` is a finite int or float within the float range; a bool
+    (JSON ``true`` or ``false``) is no number."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_KINDS = {  # wire kind -> (how many numbers it takes, what builds the message from them)
+    "exact": (1, Exact),
+    "between": (2, Between),
+    "at_least": (1, AtLeast),
+    "at_most": (1, AtMost),
+    "around": (1, Around),
+    "tall": (0, lambda: TALL),
+    "short": (0, lambda: SHORT),
 }
+#: the heads of the text form and the kinds they name
+_TEXT_HEADS = {"exact": "exact", "exactly": "exact", "between": "between", "atleast": "at_least",
+               "atmost": "at_most", "around": "around", "tall": "tall", "short": "short"}
+
+
+def _message_of(kind, args, spec) -> Message:
+    """The one decoder behind both spec forms: ``kind`` must be known and
+    ``args`` a list of exactly its number of finite numbers that make a
+    message; ``spec`` is the input named in the error otherwise."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise MessageParseError(f"unknown message kind {kind!r}")
+    arity, make = _KINDS[kind]
+    if not isinstance(args, (list, tuple)) or len(args) != arity or not all(map(_is_number, args)):
+        raise MessageParseError(f"kind {kind!r} expects {arity} finite numeric args, got {spec!r}")
+    try:
+        return make(*map(float, args))
+    except ValueError as e:  # an empty interval
+        raise MessageParseError(str(e)) from None
 
 
 def message_from_json(obj: dict) -> Message:
@@ -380,25 +407,8 @@ def message_from_json(obj: dict) -> Message:
     a finite number, and JSON ``true`` and ``false`` are not numbers."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MessageParseError(f"not a message object: {obj!r}")
-    kind = obj["kind"]
     args = obj.get("args", [])
-    if kind not in _JSON_KINDS:
-        raise MessageParseError(f"unknown message kind {kind!r}")
-    cls, arity = _JSON_KINDS[kind]
-    numeric = all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in args)
-    if len(args) != arity or not numeric:
-        raise MessageParseError(f"kind {kind!r} expects {arity} numeric args, got {args!r}")
-    try:
-        values = [float(a) for a in args]
-    except OverflowError:  # an int beyond the float range
-        values = [math.inf]
-    if not all(map(math.isfinite, values)):
-        raise MessageParseError(f"kind {kind!r} expects finite args, got {args!r}")
-    if kind == "tall":
-        return TALL
-    if kind == "short":
-        return SHORT
-    return cls(*values)
+    return _message_of(obj["kind"], args, args)
 
 
 def parse_message(text: str) -> Message:
@@ -406,38 +416,15 @@ def parse_message(text: str) -> Message:
 
     Accepted forms: "exactly V", "between LO HI" (an optional "and" is
     fine), "at least V" / "atleast V", "at most V" / "atmost V",
-    "around V", "tall", "short". Every number must be finite.
+    "around V", "tall", "short". A spec takes exactly the numbers of its
+    kind, and every number must be finite.
     """
     tokens = text.strip().lower().replace(",", " ").split()
-    if not tokens:
-        raise MessageParseError("empty message spec")
-    head = tokens[0]
-    if head == "at" and len(tokens) > 1:
-        head = f"at{tokens[1]}"
-        tokens = [head] + tokens[2:]
-    rest = [t for t in tokens[1:] if t != "and"]
-
-    def num(i: int) -> float:
-        try:
-            value = float(rest[i])
-        except (IndexError, ValueError):
-            raise MessageParseError(f"could not parse {text!r}") from None
-        if not math.isfinite(value):
-            raise MessageParseError(f"{text!r}: {rest[i]!r} is not a finite number")
-        return value
-
-    if head in ("exact", "exactly"):
-        return Exact(num(0))
-    if head == "between":
-        return Between(num(0), num(1))
-    if head == "atleast":
-        return AtLeast(num(0))
-    if head == "atmost":
-        return AtMost(num(0))
-    if head == "around":
-        return Around(num(0))
-    if head == "tall" and not rest:
-        return TALL
-    if head == "short" and not rest:
-        return SHORT
-    raise MessageParseError(f"could not parse {text!r}")
+    if tokens[:1] == ["at"]:
+        tokens[:2] = ["".join(tokens[:2])]
+    try:
+        kind = _TEXT_HEADS[tokens[0]]
+        numbers = [float(t) for t in tokens[1:] if t != "and"]
+    except (IndexError, KeyError, ValueError):
+        raise MessageParseError(f"could not parse {text!r}") from None
+    return _message_of(kind, numbers, text)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -107,6 +107,9 @@ class Scenario:
     menu: tuple[Message, ...]
     lam: float = 4.0
     listener_mode: str = "auto"
+    #: the product prior, one object for the scenario's life, so that calls
+    #: given ``sc.prior`` share the L0 store, which keys on the prior's identity
+    prior: IndependentPrior = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.array(self.grid, dtype=float)
@@ -131,10 +134,7 @@ class Scenario:
             raise ValueError("lam must be positive")
         if self.listener_mode not in LISTENER_MODES:
             raise ValueError(f"listener_mode must be one of {LISTENER_MODES}")
-
-    @property
-    def prior(self) -> IndependentPrior:
-        return IndependentPrior(self.x_prior, dict(self.t_priors))
+        object.__setattr__(self, "prior", IndependentPrior(self.x_prior, dict(self.t_priors)))
 
     def observation(self, obs_id: str) -> Observation:
         for o in self.observations:

@@ -11,13 +11,12 @@ BudgetExceeded before anything that size is built (exit code 5).
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 import numpy as np
 
 from .games import BudgetExceeded, Game, MixedProfile
-from .messages import (Message, MessageParseError, message_from_json,
+from .messages import (Message, MessageParseError, _is_number, message_from_json,
                        precise_alternatives, vague_alternatives)
 from .prob import Dist, uniform
 from .scenarios import (LISTENER_MODES, Scenario, default_t_prior_sizes,
@@ -43,10 +42,6 @@ def _check_budget(cells: float, where: str) -> None:
         raise BudgetExceeded(f"{where}: {cells:.4g} cells, over the budget of {_CELL_BUDGET:.4g}")
 
 
-def _is_number(x: Any) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
 def _check_keys(obj: dict, where: str, required: tuple[str, ...],
                 optional: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
@@ -61,7 +56,7 @@ def _check_keys(obj: dict, where: str, required: tuple[str, ...],
 
 def _number_list(value: Any, where: str, length: int | None = None) -> list[float]:
     if not isinstance(value, list) or not all(_is_number(v) for v in value):
-        raise SchemaError(f"{where}: expected a list of numbers")
+        raise SchemaError(f"{where}: expected a list of finite numbers")
     if length is not None and len(value) != length:
         raise SchemaError(f"{where}: expected {length} entries, got {len(value)}")
     return [float(v) for v in value]
@@ -75,13 +70,15 @@ def _load_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def _parse_grid(obj: Any) -> tuple[np.ndarray, str]:
     _check_keys(obj, "grid", ("min", "max", "step", "unit"))
     for key in ("min", "max", "step"):
         if not _is_number(obj[key]):
-            raise SchemaError(f"grid.{key}: expected a number")
+            raise SchemaError(f"grid.{key}: expected a finite number")
     lo, hi, step = float(obj["min"]), float(obj["max"]), float(obj["step"])
     if not isinstance(obj["unit"], str):
         raise SchemaError("grid.unit: expected a string")
@@ -277,22 +274,25 @@ def game_from_obj(obj: Any) -> tuple[Game, dict[str, MixedProfile]]:
                     actions=actions, payoff=payoff, question=question)
     except ValueError as e:
         raise SchemaError(f"game: {e}") from e
-    profiles: dict[str, MixedProfile] = {}
-    if "profiles" in obj:
-        if not isinstance(obj["profiles"], dict):
-            raise SchemaError("profiles: expected an object of named profiles")
-        for name, p in obj["profiles"].items():
-            where = f"profiles.{name}"
-            _check_keys(p, where, ("sender", "receiver"))
-            sender = _parse_matrix(p["sender"], (len(states), len(messages)),
-                                   f"{where}.sender")
-            receiver = _parse_matrix(p["receiver"], (len(messages), len(actions)),
-                                     f"{where}.receiver")
-            try:
-                profiles[name] = MixedProfile(sender, receiver)
-            except ValueError as e:
-                raise SchemaError(f"{where}: {e}") from e
-    return game, profiles
+    profiles = obj.get("profiles", {})
+    if not isinstance(profiles, dict):
+        raise SchemaError("profiles: expected an object of named profiles")
+    return game, {name: _parse_profile(p, game, f"profiles.{name}")
+                  for name, p in profiles.items()}
+
+
+def _parse_profile(obj: Any, game: Game, where: str) -> MixedProfile:
+    """Parse one ``{"sender": rows, "receiver": rows}`` profile of ``game``;
+    errors start with ``where``."""
+    _check_keys(obj, where, ("sender", "receiver"))
+    sender = _parse_matrix(obj["sender"], (len(game.states), len(game.messages)),
+                           f"{where}.sender")
+    receiver = _parse_matrix(obj["receiver"], (len(game.messages), len(game.actions)),
+                             f"{where}.receiver")
+    try:
+        return MixedProfile(sender, receiver)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def load_game(path: str) -> tuple[Game, dict[str, MixedProfile]]:

@@ -148,7 +148,7 @@ class TestIbr:
         assert report["levels"][0]["speaker"] is None
 
     def test_iterate_and_its_check_build_one_l0(self, capsys, monkeypatch):
-        # Scenario.prior is a new object on each read, and the L0 store keys on identity
+        # the L0 store keys on the prior's identity, and both calls read sc.prior
         builds, build = [], listener._literal_outcomes
         monkeypatch.setattr(listener, "_literal_outcomes",
                             lambda prior, menu: builds.append(len(menu)) or build(prior, menu))
@@ -243,7 +243,9 @@ class TestGame:
         assert code == 0
         assert json.loads(out)["nash"] is True
 
-    @pytest.mark.parametrize("content", [None, "{not json"], ids=["directory", "bad-json"])
+    @pytest.mark.parametrize("content", [
+        None, "{not json", json.dumps({"sender": [[1, 0]], "receiver": [[1, 0], [0, 1]]})],
+        ids=["directory", "bad-json", "misfit"])
     def test_unreadable_profile_path_exits_2(self, capsys, tmp_path, content):
         path = tmp_path
         if content is not None:
@@ -253,6 +255,7 @@ class TestGame:
         assert code == 2
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(path) in err
 
     def test_dominance_on_file(self, capsys):
         code, out, _ = run(capsys, "game", HEIGHTS, "dominance", "--seed", "0")
@@ -405,6 +408,35 @@ TABLE_FILES = {
         "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
         "menu": OVERSIZE["grid"][1],
     },
+    "huge_step.json": {  # an integer past the float range
+        "grid": {"min": 0, "max": 80, "step": 10 ** 400, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": {"generate": "around"},
+    },
+    "huge_label.json": {
+        "states": ["a", 10 ** 400], "prior": [0.5, 0.5], "messages": ["m", "n"],
+        "actions": ["x", "y"], "payoff": [[1, 0], [0, 1]],
+    },
+    "huge_profile.json": {"sender": [[1, 0], [1, 0], [0, 10 ** 400]],
+                          "receiver": [[1, 0, 0], [0, 0, 1]]},
+    # JSON text, since json.dumps cannot write an integer longer than Python
+    # parses by default (4 300 digits)
+    "digit_limit.json": '{"grid": {"min": 0, "max": 80, "step": %s, "unit": "u"}}' % ("9" * 5000),
+    "empty_interval.json": {
+        "grid": {"min": 0, "max": 20, "step": 10, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": [{"kind": "between", "args": [20, 10]}],
+    },
+    "bare_arg.json": {  # args is a number, not a list
+        "grid": {"min": 0, "max": 20, "step": 10, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": [{"kind": "around", "args": 10}],
+    },
+    "list_kind.json": {
+        "grid": {"min": 0, "max": 20, "step": 10, "unit": "u"},
+        "observations": [{"id": "o", "probs": "uniform", "weight": 1}],
+        "menu": [{"kind": ["around"], "args": [10]}],
+    },
 }
 
 #: every documented exit code each subcommand can reach; only speak honours
@@ -417,6 +449,14 @@ EXIT_CODES = [
     (("posterior", ATTENDANCE, "around inf"), 2),
     (("posterior", ATTENDANCE, "between 90 100"), 3),
     (("posterior", "oversize.json", "tall"), 5),
+    (("posterior", ATTENDANCE, "between 10 70 90"), 2),
+    (("posterior", ATTENDANCE, "around 40 50"), 2),
+    (("posterior", ATTENDANCE, "between 70 10"), 2),
+    (("posterior", "huge_step.json", "around 40"), 2),
+    (("posterior", "digit_limit.json", "around 40"), 2),
+    (("posterior", "empty_interval.json", "around 10"), 2),
+    (("posterior", "bare_arg.json", "around 10"), 2),
+    (("posterior", "list_kind.json", "around 10"), 2),
     (("speak", ATTENDANCE), 0),
     (("speak", ATTENDANCE, "--observation", "nosuch"), 2),
     (("speak", "closedform.json"), 3),
@@ -434,6 +474,8 @@ EXIT_CODES = [
     (("game", "random", "enumerate"), 2),
     (("game", HEIGHTS, "precision", "--pure"), 3),
     (("game", HEIGHTS, "enumerate", "--budget", "10"), 5),
+    (("game", "huge_label.json", "enumerate"), 2),
+    (("game", HEIGHTS, "check", "--profile", "huge_profile.json"), 2),
     (("scenario", "tall-uniform"), 0),
     (("scenario", "no-such-report"), 2),
 ]
@@ -444,7 +486,7 @@ EXIT_CODES = [
     for argv, code in EXIT_CODES])
 def test_documented_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     for name, obj in TABLE_FILES.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
     monkeypatch.chdir(tmp_path)
     got, out, err = run(capsys, *argv)
     assert got == code

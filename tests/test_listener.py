@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from vaguetalk import (SHORT, TALL, Around, AtLeast, AtMost, Between, Dist, Exact,
                        ExplicitJointPrior, IndependentPrior, Menu, Message, MissingParamPrior,
                        NonUniformPreconditionViolated, Observation, Threshold, ZeroPosterior,
-                       around_closed_form, check_fixed_point, closed_form_posterior,
-                       denotation, denotation_vector, iterate,
+                       around_closed_form, attendance_scenario, check_fixed_point,
+                       closed_form_posterior, denotation, denotation_vector, iterate,
                        joint_enumeration_posterior, literal_listener_strategy,
                        literal_update, precise_alternatives, tall_closed_form, uniform,
                        vague_alternatives)
@@ -808,3 +808,11 @@ class TestL0Store:
         fresh = check_fixed_point(*trace.final, prior, equal_menu, obs, [0.5, 0.5])
         assert builds == [len(menu)] * 2
         assert report.ok and fresh == report
+
+    def test_scenario_prior_is_one_object_so_iterate_and_its_check_build_one_l0(self, builds):
+        # the README quickstart pattern, each call reading sc.prior afresh
+        sc = attendance_scenario()
+        assert sc.prior is sc.prior
+        trace = iterate(sc.prior, sc.menu, sc.observations, sc.weights)
+        report = check_fixed_point(*trace.final, sc.prior, sc.menu, sc.observations, sc.weights)
+        assert report.ok and builds == [54]

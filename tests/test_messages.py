@@ -393,6 +393,56 @@ class TestParsing:
         with pytest.raises(MessageParseError, match="finite"):
             message_from_json(obj)
 
+    @pytest.mark.parametrize("spec", [
+        "between 70 10", {"kind": "between", "args": [70, 10]},  # empty intervals
+        {"kind": "around", "args": 40}, {"kind": ["around"], "args": [40]},
+    ], ids=["text-empty-interval", "json-empty-interval", "json-args-not-a-list",
+            "json-kind-not-a-string"])
+    def test_malformed_specs_are_parse_errors(self, spec):
+        with pytest.raises(MessageParseError):
+            parse_message(spec) if isinstance(spec, str) else message_from_json(spec)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ARITY = {"exact": 1, "between": 2, "at_least": 1, "at_most": 1, "around": 1, "tall": 0,
+         "short": 0}
+
+
+def text_spec(kind: str, args) -> str:
+    """The text form of a wire kind and args; ``repr`` keeps every float exact."""
+    return " ".join([kind.replace("_", " "), *map(repr, args)])
+
+
+@given(st.one_of(
+    st.builds(Exact, FINITE), st.builds(AtLeast, FINITE), st.builds(AtMost, FINITE),
+    st.builds(Around, FINITE), st.sampled_from([TALL, SHORT]),
+    st.builds(lambda a, b: Between(min(a, b), max(a, b)), FINITE, FINITE)))
+def test_json_and_text_specs_decode_to_the_same_message(m):
+    wire = m.to_json()
+    assert message_from_json(wire) == m == parse_message(text_spec(wire["kind"], wire["args"]))
+
+
+@given(st.sampled_from(sorted(ARITY)), st.data())
+def test_wrong_arity_raises_in_both_forms(kind, data):
+    size = data.draw(st.integers(0, 3).filter(lambda n: n != ARITY[kind]))
+    args = sorted(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
+    with pytest.raises(MessageParseError):
+        message_from_json({"kind": kind, "args": args})
+    with pytest.raises(MessageParseError):
+        parse_message(text_spec(kind, args))
+
+
+@given(st.sampled_from([k for k, n in ARITY.items() if n]), st.data())
+def test_a_number_that_is_not_finite_raises_in_both_forms(kind, data):
+    args = sorted(data.draw(st.lists(FINITE, min_size=ARITY[kind], max_size=ARITY[kind])))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, True, False,
+                                     10 ** 400, -10 ** 400]))
+    args[data.draw(st.integers(0, len(args) - 1))] = bad
+    with pytest.raises(MessageParseError):
+        message_from_json({"kind": kind, "args": args})
+    with pytest.raises(MessageParseError):
+        parse_message(text_spec(kind, args))
+
 
 @given(st.floats(min_value=-100, max_value=100),
        st.floats(min_value=-100, max_value=100),
