@@ -25,7 +25,7 @@ from .speaker import (Observation, SpeakerStrategy, utility, utility_table,
 from .ibr import (ListenerStrategy, RecursionTrace, literal_listener_strategy,
                   speaker_response, listener_response, iterate, check_fixed_point,
                   FixedPointReport, expected_utility, DeadMessageNoFallback)
-from .games import (Game, MixedProfile, Deviation, NashResult, expected_payoff,
+from .games import (Game, MixedProfile, ProfileStack, Deviation, NashResult, expected_payoff,
                     is_nash, enumerate_pure_equilibria, pure_profile,
                     babbling_profile, generate_mixed_candidates,
                     mixed_dominance_check, dominance_batch, random_game,

@@ -290,7 +290,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     elif args.sub == "dominance":
         rng = np.random.default_rng([args.seed, 0])
         candidates = list(profiles.values()) + games.generate_mixed_candidates(game, rng)
-        report = games.mixed_dominance_check(game, candidates)
+        report = games.mixed_dominance_check(game, candidates, budget=args.budget)
         _emit_json({
             "best_pure_payoff": report.best_pure_payoff,
             "n_pure_equilibria": report.n_pure_equilibria,

@@ -12,10 +12,12 @@ including a constructive "precisify" that lines messages up with cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .prob import _is_pure, _stochastic_rows
 __all__ = [
     "Game",
     "MixedProfile",
+    "ProfileStack",
     "Deviation",
     "NashResult",
     "expected_payoff",
@@ -51,6 +54,9 @@ _TOL = 1e-9
 ENUMERATION_BUDGET = 10 ** 7
 _TIE_TOL = 1e-12  # best-reply ties in the candidate generators
 _DYNAMICS = (6, 80, 0.5)  # random starts, damped steps per start, damping eta
+# _dynamics_candidates takes each stride's damped path in one exact running
+# sum, which needs a step to halve the old point
+assert 1 - _DYNAMICS[2] == 0.5
 _MAX_CANDIDATES, _CANDIDATE_QUANTUM = 200, 1e-9  # kept candidates; dedupe rounding
 _RECEIVER_BLOCK = 256  # receiver maps per batch in the enumeration and support candidates
 _SENDER_BLOCK = 1024  # sender maps checked per batch in enumerate_pure_equilibria
@@ -146,24 +152,71 @@ class MixedProfile:
         return _is_pure(self.sender) and _is_pure(self.receiver)
 
 
-def _profiles(senders: np.ndarray, receivers: np.ndarray) -> list[MixedProfile]:
-    """One profile per slot of a (n, S, M) sender and a (n, M, A) receiver
-    stack, as MixedProfile(senders[i], receivers[i]) would build it.
+def _wrap(sender: np.ndarray, receiver: np.ndarray) -> MixedProfile:
+    """A MixedProfile around two rows of checked, read-only stacks."""
+    p = object.__new__(MixedProfile)
+    object.__setattr__(p, "sender", sender)
+    object.__setattr__(p, "receiver", receiver)
+    return p
 
-    Each stack's rows are checked once, and every profile wraps read-only
-    slices of the checked stacks.
+
+class ProfileStack(Sequence):
+    """An immutable sequence of profiles held as a (K, S, M) sender and a
+    (K, M, A) receiver stack, both read-only.
+
+    Every row is checked once, as MixedProfile(senders[i], receivers[i])
+    would check it. ``stack[i]`` builds that profile on demand around
+    read-only slices of the stacks, so two reads give two objects; a slice
+    is a ProfileStack. ``+`` with a ProfileStack, list or tuple on either
+    side gives a list, as list + list does. A ProfileStack equals a
+    sequence of profiles with the same entries in the same order; like a
+    list, it is unhashable.
     """
-    checked = [_stochastic_rows(stack.reshape(-1, stack.shape[-1]), name).reshape(stack.shape)
-               for stack, name in ((senders, "sender"), (receivers, "receiver"))]
-    if senders.shape[-1] != receivers.shape[-2]:
-        raise DimensionMismatch("sender columns must match receiver rows")
-    out = []
-    for sender, receiver in zip(*checked, strict=True):
-        p = object.__new__(MixedProfile)
-        object.__setattr__(p, "sender", sender)
-        object.__setattr__(p, "receiver", receiver)
-        out.append(p)
-    return out
+
+    __slots__ = ("senders", "receivers")
+
+    def __init__(self, senders, receivers) -> None:
+        for name, stack in zip(self.__slots__, (senders, receivers)):
+            stack = np.asarray(stack)
+            if stack.ndim != 3:
+                raise ValueError(f"{name} must be a 3-d stack")
+            rows = _stochastic_rows(stack.reshape(-1, stack.shape[-1]), name[:-1])
+            object.__setattr__(self, name, rows.reshape(stack.shape))
+        if self.senders.shape[-1] != self.receivers.shape[-2]:
+            raise DimensionMismatch("sender columns must match receiver rows")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a ProfileStack is immutable: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProfileStack(self.senders[i], self.receivers[i])
+        i = operator.index(i)
+        return _wrap(self.senders[i], self.receivers[i])
+
+    def __iter__(self) -> Iterator[MixedProfile]:
+        return map(_wrap, self.senders, self.receivers)
+
+    def __add__(self, other):
+        return [*self, *other] if isinstance(other, (ProfileStack, list, tuple)) else NotImplemented
+
+    def __radd__(self, other):
+        return [*other, *self] if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __eq__(self, other):  # entry by entry: MixedProfile itself compares by identity
+        if not isinstance(other, (ProfileStack, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            isinstance(q, MixedProfile) and np.array_equal(p.sender, q.sender)
+            and np.array_equal(p.receiver, q.receiver) for p, q in zip(self, other))
+
+    __hash__ = None
+
+    def __reduce__(self):  # for copy and pickle, which would set the attributes
+        return ProfileStack, (self.senders, self.receivers)
 
 
 def _one_hot(indices, n: int) -> np.ndarray:
@@ -171,19 +224,31 @@ def _one_hot(indices, n: int) -> np.ndarray:
     return np.eye(n)[np.asarray(indices)]
 
 
-def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of each row's entries within tol of the row maximum, taken
-    column by column: exact, and far faster on a stack than a reduction
-    along the short last axis, which loops per row."""
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """Each row's maximum, taken column by column: exact, and far faster on
+    a stack than a reduction along the short last axis, which loops per row."""
     best = values[..., 0]
     for j in range(1, values.shape[-1]):
         best = np.maximum(best, values[..., j])
-    return values >= best[..., None] - tol
+    return best
+
+
+def _row_count(mask: np.ndarray) -> np.ndarray:
+    """Each row's True entries, counted column by column as _row_max goes."""
+    count = mask[..., 0].astype(np.int64)
+    for j in range(1, mask.shape[-1]):
+        count += mask[..., j]
+    return count
+
+
+def _near_best(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of each row's entries within tol of the row maximum."""
+    return values >= _row_max(values)[..., None] - tol
 
 
 def _uniform_over(mask: np.ndarray) -> np.ndarray:
     """Each row spread evenly over its True entries."""
-    return mask / np.add.reduce(mask, axis=-1, keepdims=True)
+    return mask / _row_count(mask)[..., None]
 
 
 def _check_dims(g: Game, p: MixedProfile) -> None:
@@ -298,6 +363,63 @@ def _receiver_map_blocks(g: Game) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield maps, np.moveaxis(g.payoff[:, maps], 0, 1) + 0.0
 
 
+def _check_nominal(g: Game, budget: int) -> None:
+    nominal = g.n_messages ** g.n_states * g.n_actions ** g.n_messages
+    if nominal > budget:
+        raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
+
+
+def _check_result(count: int) -> None:
+    if count > _RESULT_BUDGET:
+        raise BudgetExceeded(f"pure equilibria exceed the result budget {_RESULT_BUDGET}")
+
+
+def _allowed_messages(g: Game, sv: np.ndarray, tol: float) -> np.ndarray:
+    """allowed[r, s, m]: under receiver map r, state s may send m in a pure
+    equilibrium. Positive-prior states must send within tol of their best
+    value; zero-prior states are unconstrained."""
+    return _near_best(sv, tol) | (g.prior <= 0)[:, None]
+
+
+def _sender_blocks(g: Game, tol: float, maps: np.ndarray,
+                   allowed: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pure equilibria of one receiver-map block, checking up to
+    _SENDER_BLOCK sender maps at a time: yields, for each such batch, the
+    block rows r of the receiver maps and the (n, S) sender maps of its
+    equilibria, in the order receiver map, then sender map (itertools.product
+    order over each state's allowed messages)."""
+    states = np.arange(g.n_states)
+    weighted = g.prior[:, None] * g.payoff
+    counts = _row_count(allowed)  # (receiver maps, states)
+    picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
+    sizes = counts.prod(axis=-1)  # sender maps per receiver map
+    starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
+    for first in range(0, total, _SENDER_BLOCK):
+        # each receiver map's sender maps in itertools.product order: a
+        # mixed-radix count over the allowed sets, the last state fastest
+        pair = np.arange(first, min(first + _SENDER_BLOCK, total))
+        r = np.searchsorted(starts, pair, side="right") - 1
+        rank = pair - starts[r]
+        digits = np.empty((len(r), g.n_states), dtype=int)
+        for s in reversed(states):
+            rank, digits[:, s] = np.divmod(rank, counts[r, s])
+        senders = picks[r[:, None], states, digits]
+        # the receiver must answer each used message with a Bayes best
+        # action; values are unnormalised, so tol scales with use and
+        # unused messages (all values 0) never fail
+        sent = np.swapaxes(_one_hot(senders, g.n_messages), 1, 2)  # (maps, messages, states)
+        values = sent @ weighted
+        answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
+        ok = ~np.any(_row_max(values) > answered + tol * (sent @ g.prior), axis=1)
+        yield r[ok], senders[ok]
+
+
+def _pure_payoffs(g: Game, sv: np.ndarray, r: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """Payoff of each pure profile (receiver map r of the block, sender map);
+    a running sum adds the states in order, as a plain sum would."""
+    return np.cumsum(g.prior * sv[r[:, None], np.arange(g.n_states), senders], axis=1)[:, -1]
+
+
 def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
                               budget: int = ENUMERATION_BUDGET
                               ) -> list[tuple[MixedProfile, float]]:
@@ -309,51 +431,121 @@ def enumerate_pure_equilibria(g: Game, tol: float = _TOL,
     More than _RESULT_BUDGET equilibria raise BudgetExceeded before any
     profile is built.
     """
-    nominal = g.n_messages ** g.n_states * g.n_actions ** g.n_messages
-    if nominal > budget:
-        raise BudgetExceeded(f"{nominal} pure profiles exceed budget {budget}")
+    _check_nominal(g, budget)
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     accepted = 0
-    states = np.arange(g.n_states)
-    weighted = g.prior[:, None] * g.payoff
     for maps, sv in _receiver_map_blocks(g):
-        # positive-prior states must send within tol of their best value;
-        # zero-prior states are unconstrained
-        allowed = _near_best(sv, tol) | (g.prior <= 0)[:, None]
-        counts = allowed.sum(axis=-1)  # (receiver maps, states)
-        picks = np.argsort(~allowed, axis=-1, kind="stable")  # allowed messages first
-        sizes = counts.prod(axis=-1)  # sender maps per receiver map
-        starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
-        for first in range(0, total, _SENDER_BLOCK):
-            # each receiver map's sender maps in itertools.product order: a
-            # mixed-radix count over the allowed sets, the last state fastest
-            pair = np.arange(first, min(first + _SENDER_BLOCK, total))
-            r = np.searchsorted(starts, pair, side="right") - 1
-            rank = pair - starts[r]
-            digits = np.empty((len(r), g.n_states), dtype=int)
-            for s in reversed(states):
-                rank, digits[:, s] = np.divmod(rank, counts[r, s])
-            senders = picks[r[:, None], states, digits]
-            # the receiver must answer each used message with a Bayes best
-            # action; values are unnormalised, so tol scales with use and
-            # unused messages (all values 0) never fail
-            sent = np.swapaxes(_one_hot(senders, g.n_messages), 1, 2)  # (maps, messages, states)
-            values = sent @ weighted
-            answered = np.take_along_axis(values, maps[r][..., None], axis=2)[..., 0]
-            ok = ~np.any(values.max(axis=2) > answered + tol * (sent @ g.prior), axis=1)
-            r, senders = r[ok], senders[ok]
+        for r, senders in _sender_blocks(g, tol, maps, _allowed_messages(g, sv, tol)):
             accepted += len(r)
-            if accepted > _RESULT_BUDGET:
-                raise BudgetExceeded(f"pure equilibria exceed the result budget {_RESULT_BUDGET}")
-            # a running sum adds the states in order, as a plain sum would
-            payoffs = np.cumsum(g.prior * sv[r[:, None], states, senders], axis=1)[:, -1]
-            found.append((senders, maps[r], payoffs))
+            _check_result(accepted)
+            found.append((senders, maps[r], _pure_payoffs(g, sv, r, senders)))
     senders, receivers, payoffs = map(np.concatenate, zip(*found))
     order = np.lexsort((*receivers.T[::-1], *senders.T[::-1], -payoffs))
-    # boolean one-hot rows: _profiles makes the float copies it keeps
-    profiles = _profiles(np.eye(g.n_messages, dtype=bool)[senders[order]],
-                         np.eye(g.n_actions, dtype=bool)[receivers[order]])
+    # boolean one-hot rows: ProfileStack makes the float copies it keeps
+    profiles = ProfileStack(np.eye(g.n_messages, dtype=bool)[senders[order]],
+                            np.eye(g.n_actions, dtype=bool)[receivers[order]])
     return list(zip(profiles, payoffs[order].tolist()))
+
+
+def _answer_table(g: Game, tol: float) -> np.ndarray:
+    """ok[T, a]: a receiver may answer a message sent by exactly the states
+    of T (bit s for state s) with action a, as _sender_blocks tests it.
+
+    Each subset's action values and prior mass add its states lowest
+    first, built in S doubling steps; the one-hot product in _sender_blocks
+    adds them in the same order, since its 0/1 factors add exact zeros. The
+    empty subset passes with every action.
+    """
+    sums = np.zeros((1, g.n_actions + 1))
+    for row in np.column_stack((g.prior[:, None] * g.payoff, g.prior)):
+        sums = np.concatenate((sums, sums + row))
+    values, mass = sums[:, :-1], sums[:, -1:]
+    return ~(_row_max(values)[:, None] > values + tol * mass)
+
+
+@functools.cache
+def _subset_pairs(n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of state subsets T <= U, grouped by U in increasing order:
+    U ^ T, T, and the index where each U's group starts."""
+    subsets = np.arange(2 ** n_states)
+    u, t = np.nonzero(subsets[:, None] & subsets == subsets)
+    return u ^ t, t, np.flatnonzero(np.diff(u, prepend=-1))
+
+
+def _count_by_subsets(g: Game, tol: float, maps: np.ndarray, sv: np.ndarray,
+                      allowed: np.ndarray) -> tuple[int, float]:
+    """The number of pure equilibria over one receiver-map block, and the
+    best pure payoff, by a subset DP that builds no sender map.
+
+    A sender map splits the states into one subset per message, and is an
+    equilibrium when each subset T sent m lies in m's allowed states and
+    passes _answer_table's [T, maps[r, m]]. So f_m[U], the ways to split U
+    over the first m + 1 messages, is the sum over T <= U of f_(m-1)[U ^ T]
+    times whether T may send m; the count is f_(M-1) of all states. The
+    best payoff is the common-interest optimum over the block: every state
+    sends a best message, with the arithmetic of _pure_payoffs.
+    """
+    full = 2 ** g.n_states - 1
+    subsets = np.arange(full + 1)
+    bits = (1 << np.arange(g.n_states)) @ allowed  # (maps, messages): each one's allowed states
+    # may_send[r, m, T]: T lies in m's allowed states and may be answered maps[r, m]
+    may_send = _answer_table(g, tol).T[maps] & (subsets & ~bits[..., None] == 0)
+    rest, part, starts = _subset_pairs(g.n_states)
+    ways = may_send[:, 0].astype(np.int64)
+    for m in range(1, g.n_messages - 1):
+        ways = np.add.reduceat(ways[:, rest] * may_send[:, m, part], starts, axis=1)
+    if g.n_messages > 1:  # only U = all states is needed: f[full ^ T] is f reversed
+        count = int((ways[:, ::-1] * may_send[:, -1]).sum())
+    else:
+        count = int(ways[:, full].sum())
+    best = np.cumsum(g.prior * _row_max(sv), axis=1)[:, -1].max()
+    return count, float(best)
+
+
+def _count_by_blocks(g: Game, tol: float, maps: np.ndarray, sv: np.ndarray,
+                     allowed: np.ndarray, counted: int = 0) -> tuple[int, float]:
+    """The number of pure equilibria over one receiver-map block, and the
+    best one's payoff (-inf if none), from _sender_blocks without building
+    profiles; raises the result budget's BudgetExceeded as soon as counted
+    plus this count passes it."""
+    count, best = 0, -math.inf
+    for r, senders in _sender_blocks(g, tol, maps, allowed):
+        count += len(r)
+        _check_result(counted + count)
+        if len(r):
+            best = max(best, float(_pure_payoffs(g, sv, r, senders).max()))
+    return count, best
+
+
+def _count_pure_equilibria(g: Game, tol: float = _TOL,
+                           budget: int = ENUMERATION_BUDGET) -> tuple[int, float]:
+    """len(enumerate_pure_equilibria(g, tol, budget)) and its [0][1], with its
+    errors, without building a profile.
+
+    Each receiver-map block takes the route with less work: the subset DP,
+    maps * M * 3^S steps, or checking the sender-map blocks, M * S * (A + 1)
+    steps for each sender map the allowed sets give. Both counts are known
+    before either route starts. The DP holds a (map, U, T) triple per step
+    of one message, so it is taken only while those fit in _RECEIVER_BLOCK *
+    _SENDER_BLOCK slots; past that the blocks, which stop at the result
+    budget, bound the memory.
+    """
+    _check_nominal(g, budget)
+    triples = 3 ** g.n_states
+    count, best = 0, -math.inf
+    for maps, sv in _receiver_map_blocks(g):
+        allowed = _allowed_messages(g, sv, tol)
+        senders = int(_row_count(allowed).prod(axis=-1).sum())
+        by_blocks = senders * g.n_messages * g.n_states * (g.n_actions + 1)
+        if len(maps) * g.n_messages * triples < by_blocks and \
+                len(maps) * triples <= _RECEIVER_BLOCK * _SENDER_BLOCK:
+            block_count, block_best = _count_by_subsets(g, tol, maps, sv, allowed)
+        else:
+            block_count, block_best = _count_by_blocks(g, tol, maps, sv, allowed, count)
+        count += block_count
+        _check_result(count)
+        best = max(best, block_best)
+    return count, best
 
 
 def _receiver_best_reply(g: Game, sender: np.ndarray) -> np.ndarray:
@@ -390,7 +582,7 @@ def _support_enumeration_candidates(g: Game) -> Iterator[_Pair]:
     """
     for maps, sv in _receiver_map_blocks(g):
         tied = _near_best(sv, _TIE_TOL)
-        counts = tied.sum(axis=-1, keepdims=True)
+        counts = _row_count(tied)[..., None]
         mixing = np.flatnonzero(np.any(counts != 1, axis=(1, 2)))
         if not mixing.size:
             continue
@@ -423,10 +615,16 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
     strides: after one plain step, the next n steps are built as if both
     masks held, the true masks of all n are taken in one stacked pass, and
     the longest prefix that kept both masks is accepted; n doubles after a
-    full success and restarts at 4 after a mismatch. An accepted step used
-    a plain step's masks and arithmetic, and the stacked kernels round each
-    slice as alone, so the result equals the step-by-step loop bit for
-    bit. Every pass advances at least one step.
+    full success and restarts at 4 after a mismatch, whose plain step reuses
+    the receiver mask the pass already took. An accepted step used a plain
+    step's masks and arithmetic, and the stacked kernels round each slice
+    as alone, so the result equals the step-by-step loop bit for bit. Every
+    pass advances at least one step.
+
+    With 1 - eta = 1/2, the steps x_(k+1) = x_k / 2 + p of a stride are
+    x_k = (x_0 + 2p + 4p + ... + 2^k p) / 2^k, a running sum taken in one
+    pass: scaling by a power of two commutes with rounding, so each x_k
+    equals the step-by-step value bit for bit.
 
     After the damped phase, the sender is polished onto exact argmax
     supports (keeping relative mass) and the receiver is recomputed as an
@@ -442,9 +640,9 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
         receivers.append(receiver / receiver.sum(axis=1, keepdims=True))
     sender, receiver = np.stack(senders), np.stack(receivers)
     done, stride = 0, 4
+    mr = _near_best(_bayes(g, sender)[1], _TIE_TOL)
     while done < steps:
         # a plain step, whose masks and pushes the next stride reuses
-        mr = _near_best(_bayes(g, sender)[1], _TIE_TOL)
         push_r = eta * _uniform_over(mr)
         receiver = (1 - eta) * receiver + push_r
         ms = _near_best(_sender_values(g, receiver), _TIE_TOL)
@@ -455,23 +653,23 @@ def _dynamics_candidates(g: Game, rng: np.random.Generator) -> Iterator[_Pair]:
         while done < steps:
             n = min(stride, steps - done)
             # one row per step: the sender's entries, then the receiver's
-            path = np.empty((n + 1, push.size))
+            scale = 2.0 ** np.arange(n + 1)[:, None]
+            path = scale * push
             path[0] = np.concatenate((sender, receiver), axis=None)
-            for k in range(n):
-                np.multiply(path[k], 1 - eta, out=path[k + 1])
-                path[k + 1] += push
+            np.add.accumulate(path, axis=0, out=path)
+            path /= scale
             sender_path = path[:, :sender.size].reshape(n + 1, *sender.shape)
             receiver_path = path[:, sender.size:].reshape(n + 1, *receiver.shape)
             # step k holds if sender_path[k] gives mr and the receiver it made,
             # receiver_path[k + 1], gives ms
-            same_r = _near_best(_bayes(g, sender_path[:n])[1], _TIE_TOL) == mr
+            true_r = _near_best(_bayes(g, sender_path[:n])[1], _TIE_TOL)
             same_s = _near_best(_sender_values(g, receiver_path[1:]), _TIE_TOL) == ms
-            held = same_r.reshape(n, -1).all(axis=1) & same_s.reshape(n, -1).all(axis=1)
+            held = (true_r == mr).reshape(n, -1).all(axis=1) & same_s.reshape(n, -1).all(axis=1)
             kept = n if held.all() else int(held.argmin())
             sender, receiver = sender_path[kept], receiver_path[kept]
             done += kept
             if kept < n:
-                stride = 4
+                mr, stride = true_r[kept], 4
                 break
             stride *= 2
     # polish: restrict each sender row to its exact argmax support; with
@@ -491,7 +689,7 @@ def _dedupe_keys(senders: np.ndarray, receivers: np.ndarray) -> list[bytes]:
     return rounded.view(np.dtype((np.void, rounded.shape[1] * 8))).ravel().tolist()
 
 
-def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedProfile]:
+def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> ProfileStack:
     """Candidate mixed equilibria from both generators, deduplicated.
 
     Exhaustive mixed enumeration is impossible, so the pure-dominance
@@ -500,8 +698,9 @@ def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedPr
     best-response dynamics rest points, in that order. Each generator hands
     over stacks of pairs, and each stack is rounded once for the dedupe
     keys; a pair is kept when no earlier pair had its key, up to
-    _MAX_CANDIDATES, and the generators stop at that cap. Only the kept
-    pairs are validated as profiles.
+    _MAX_CANDIDATES, and the generators stop at that cap. The kept pairs
+    come back as one ProfileStack, checked once, which mixed_dominance_check
+    reads as arrays without building a profile.
     """
     babbling = tuple(m[None] for m in _babbling(g))
     kept: list[_Pair] = []
@@ -516,7 +715,7 @@ def generate_mixed_candidates(g: Game, rng: np.random.Generator) -> list[MixedPr
                     break
         if len(kept) >= _MAX_CANDIDATES:
             break
-    return _profiles(*map(np.stack, zip(*kept)))
+    return ProfileStack(*map(np.stack, zip(*kept)))
 
 
 @dataclass(frozen=True)
@@ -544,32 +743,45 @@ class DominanceReport:
 
 
 def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
-                          tol: float = 1e-7) -> DominanceReport:
+                          tol: float = 1e-7, budget: int = ENUMERATION_BUDGET
+                          ) -> DominanceReport:
     """Check that no verified mixed equilibrium beats the best pure one.
 
     Each candidate is Nash-verified first, as is_nash(g, p, tol).ok would;
     non-equilibria are listed but excluded from the dominance claim.
     Verified equilibria must have payoff <= best pure payoff + tol and
     equal payoffs across each positive-prior state's sent support (within
-    tol). The pure equilibria are enumerated before any candidate is read;
-    a candidate that does not fit the game then raises DimensionMismatch.
+    tol).
+
+    The check needs two numbers of the pure side, so it counts the pure
+    equilibria and takes the best payoff, equal to len and [0][1] of
+    enumerate_pure_equilibria(g, budget=budget), without listing them; it
+    raises the same BudgetExceeded errors. The count runs before any
+    candidate is read; a candidate that does not fit the game then raises
+    DimensionMismatch.
 
     All candidates are checked at once, as a (K, S, M) sender and a
-    (K, M, A) receiver stack, with a fixed number of array operations.
+    (K, M, A) receiver stack, with a fixed number of array operations; a
+    ProfileStack is read as its stacks.
     Every product of two candidate-sized arrays is taken per slice, as one
     profile's would be, so each payoff equals expected_payoff(g, p) and
     each verdict is_nash's bit for bit, exact ties included.
     """
     if not candidates:
         raise ValueError("candidates must be nonempty")
-    pure = enumerate_pure_equilibria(g)
-    if not pure:
+    n_pure, best_pure = _count_pure_equilibria(g, budget=budget)
+    if not n_pure:
         raise RuntimeError("no pure equilibrium found; enumeration is broken")
-    best_pure = pure[0][1]
-    for p in candidates:
-        _check_dims(g, p)
-    senders = np.stack([p.sender for p in candidates])
-    receivers = np.stack([p.receiver for p in candidates])
+    if isinstance(candidates, ProfileStack):
+        senders, receivers = candidates.senders, candidates.receivers
+        if senders.shape[1:] != (g.n_states, g.n_messages) or \
+                receivers.shape[1:] != (g.n_messages, g.n_actions):
+            _check_dims(g, candidates[0])
+    else:
+        for p in candidates:
+            _check_dims(g, p)
+        senders = np.stack([p.sender for p in candidates])
+        receivers = np.stack([p.receiver for p in candidates])
     # one prior-weighted dot product per candidate, as in expected_payoff;
     # a single matrix-vector product over the stack may round differently
     rows = ((senders @ receivers) * g.payoff).sum(axis=-1)
@@ -577,10 +789,10 @@ def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
     # is_nash's two conditions: no positive-prior state gains by switching
     # messages, and no used message's action gains under its posterior
     sv = _sender_values(g, receivers)
-    sender_gain = sv.max(axis=-1) > (senders * sv).sum(axis=-1) + tol
+    sender_gain = _row_max(sv) > (senders * sv).sum(axis=-1) + tol
     use, values = _bayes(g, senders)
     got = (values[..., None, :] @ receivers[..., None])[..., 0, 0]
-    receiver_gain = values.max(axis=-1) > got + tol
+    receiver_gain = _row_max(values) > got + tol
     nash = (~np.any(sender_gain & (g.prior > 0), axis=-1)
             & ~np.any(receiver_gain & (use > 0), axis=-1))
     # the largest payoff gap inside any positive-prior state's sent support
@@ -595,7 +807,7 @@ def mixed_dominance_check(g: Game, candidates: Sequence[MixedProfile],
             entries.append(CandidateVerdict(i, payoff, True, spread, "PASS" if good else "FAIL"))
         else:
             entries.append(CandidateVerdict(i, payoff, False, math.nan, "NOT-EQUILIBRIUM"))
-    return DominanceReport(best_pure, len(pure), tuple(entries))
+    return DominanceReport(best_pure, n_pure, tuple(entries))
 
 
 def random_game(seed_parts: Sequence[int], n_states: int, n_messages: int,

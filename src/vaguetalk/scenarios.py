@@ -94,9 +94,11 @@ def default_t_priors(grid) -> dict[str, Dist]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A grid-world communication setup ready for listener/speaker runs."""
+    """A grid-world communication setup ready for listener/speaker runs.
+
+    Compared and hashed by identity, as Game is: its grid is an array."""
 
     grid: np.ndarray
     unit: str
@@ -109,7 +111,7 @@ class Scenario:
     listener_mode: str = "auto"
     #: the product prior, one object for the scenario's life, so that calls
     #: given ``sc.prior`` share the L0 store, which keys on the prior's identity
-    prior: IndependentPrior = field(init=False, repr=False, compare=False)
+    prior: IndependentPrior = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.array(self.grid, dtype=float)

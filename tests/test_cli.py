@@ -474,6 +474,7 @@ EXIT_CODES = [
     (("game", "random", "enumerate"), 2),
     (("game", HEIGHTS, "precision", "--pure"), 3),
     (("game", HEIGHTS, "enumerate", "--budget", "10"), 5),
+    (("game", HEIGHTS, "dominance", "--budget", "10"), 5),
     (("game", "huge_label.json", "enumerate"), 2),
     (("game", HEIGHTS, "check", "--profile", "huge_profile.json"), 2),
     (("scenario", "tall-uniform"), 0),

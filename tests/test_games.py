@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -15,8 +17,9 @@ from vaguetalk import (BudgetExceeded, Game, MissingQuestion, MixedProfile,
                        generate_mixed_candidates, is_nash,
                        mixed_dominance_check, precisify, pure_profile,
                        question_precision, random_game, speaker_meaning)
-from vaguetalk.games import (_DYNAMICS, _TIE_TOL, DimensionMismatch, _bayes,
-                             _dynamics_candidates, _profiles)
+from vaguetalk.games import (_DYNAMICS, _TIE_TOL, DimensionMismatch, ProfileStack,
+                             _allowed_messages, _bayes, _count_by_blocks,
+                             _count_by_subsets, _dynamics_candidates, _receiver_map_blocks)
 
 
 def heights_game():
@@ -589,7 +592,7 @@ class TestProfileStacks:
 
     def test_equal_to_mixed_profile_and_read_only(self):
         senders, receivers = self.stacks()
-        profiles = _profiles(senders, receivers)
+        profiles = ProfileStack(senders, receivers)
         assert len(profiles) == len(senders)
         for p, s, r in zip(profiles, senders, receivers):
             q = MixedProfile(s, r)
@@ -610,16 +613,118 @@ class TestProfileStacks:
         with pytest.raises(ValueError) as expected:
             MixedProfile(pair[0][slot], pair[1][slot])
         with pytest.raises(ValueError) as got:
-            _profiles(*pair)
+            ProfileStack(*pair)
         assert str(got.value) == str(expected.value)
 
     def test_empty_stack(self):
-        assert _profiles(np.zeros((0, 3, 2)), np.zeros((0, 2, 4))) == []
+        assert ProfileStack(np.zeros((0, 3, 2)), np.zeros((0, 2, 4))) == []
 
     def test_dimension_mismatch(self):
         senders, receivers = self.stacks()
         with pytest.raises(DimensionMismatch):
-            _profiles(senders, receivers[:, :1, :])
+            ProfileStack(senders, receivers[:, :1, :])
+        with pytest.raises(ValueError, match="3-d stack"):
+            ProfileStack(senders[0], receivers[0])
+
+    def test_a_sequence_of_profiles(self):
+        senders, receivers = self.stacks(5)
+        stack = ProfileStack(senders, receivers)
+        profiles = [MixedProfile(s, r) for s, r in zip(senders, receivers)]
+        assert stack == profiles and profiles == stack and stack == tuple(profiles)
+        assert stack[-1] is not stack[-1] and stack[np.int64(4)].sender.tobytes() == \
+            profiles[4].sender.tobytes()
+        assert isinstance(stack[1:4], ProfileStack) and stack[1:4] == profiles[1:4]
+        assert stack[::-2] == profiles[::-2] and stack[5:] == []
+        assert stack != profiles[:4] and stack != profiles[::-1] and stack != [1, 2, 3, 4, 5]
+        assert stack != senders.tolist() and stack != "abcde"
+        with pytest.raises(IndexError):
+            stack[5]
+        with pytest.raises(TypeError):
+            stack[1.0]
+        # + with a list, tuple or stack on either side gives a list, as list + list does
+        def entries(ps):
+            return [(p.sender.tobytes(), p.receiver.tobytes()) for p in ps]
+
+        for got, want in ((stack + profiles[:2], profiles + profiles[:2]),
+                          (profiles[:2] + stack, profiles[:2] + profiles),
+                          (tuple(profiles[:1]) + stack, profiles[:1] + profiles),
+                          (stack + stack[:1], profiles + profiles[:1])):
+            assert type(got) is list and entries(got) == entries(want)
+        with pytest.raises(TypeError):
+            stack + np.zeros(1)
+
+    def test_immutable_unhashable_copyable(self):
+        stack = ProfileStack(*self.stacks())
+        for array in (stack.senders, stack.receivers):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            stack.senders = None
+        with pytest.raises(TypeError):
+            hash(stack)
+        for twin in (copy.copy(stack), copy.deepcopy(stack), pickle.loads(pickle.dumps(stack))):
+            assert type(twin) is ProfileStack and twin == stack
+            assert not twin.senders.flags.writeable and not twin.receivers.flags.writeable
+
+    def test_the_check_reads_a_stack_as_its_profiles(self):
+        for seed in range(6):
+            g = tied_game(seed)
+            stack = generate_mixed_candidates(g, np.random.default_rng(seed))
+            assert type(stack) is ProfileStack
+            assert repr(mixed_dominance_check(g, stack)) == \
+                repr(mixed_dominance_check(g, list(stack)))
+
+    def test_a_stack_that_does_not_fit_raises_as_expected_payoff_does(self):
+        g = heights_game()  # 3 states x 2 messages x 3 actions; the stacks have 4 actions
+        stack = ProfileStack(*self.stacks())
+        with pytest.raises(DimensionMismatch) as want:
+            expected_payoff(g, stack[0])
+        with pytest.raises(DimensionMismatch) as got:
+            mixed_dominance_check(g, stack)
+        assert str(got.value) == str(want.value)
+
+
+class TestPureCount:
+    """mixed_dominance_check counts the pure equilibria, per block of
+    receiver maps, by a subset DP or over the sender-map blocks; both
+    routes must give enumerate_pure_equilibria's count and best payoff bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_both_routes_equal_the_enumeration(self, seed, halves):
+        g = tied_game(seed)  # 1 x 1 x 1 up to 5 x 4 x 4: one block of receiver maps
+        if halves:  # payoffs in halves: sums of states tie as well
+            payoff = np.random.default_rng(seed).integers(0, 4, g.payoff.shape) / 2
+            g = Game(g.states, g.prior, g.messages, g.actions, payoff)
+        pure = enumerate_pure_equilibria(g)
+        want = (len(pure), pure[0][1].hex())
+        [(maps, sv)] = _receiver_map_blocks(g)
+        allowed = _allowed_messages(g, sv, 1e-9)
+        count, best = _count_by_blocks(g, 1e-9, maps, sv, allowed)
+        assert (count, best.hex()) == want
+        count, best = _count_by_subsets(g, 1e-9, maps, sv, allowed)
+        assert (count, best.hex()) == want
+        report = mixed_dominance_check(g, [babbling_profile(g)])
+        assert (report.n_pure_equilibria, report.best_pure_payoff.hex()) == want
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded, match="72 pure profiles exceed budget 10"):
+            mixed_dominance_check(heights_game(), [babbling_profile(heights_game())], budget=10)
+
+    def test_too_many_equilibria_stop_the_count_in_bounded_memory(self):
+        # the game of TestEnumeration's result-budget test: 8.4 M equilibria
+        g = Game(tuple(f"s{i}" for i in range(21)), np.full(21, 1 / 21), ("m0", "m1"),
+                 ("x0", "x1"), np.ones((21, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="^pure equilibria exceed the result budget"):
+                mixed_dominance_check(g, [babbling_profile(g)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestPinnedOutput:

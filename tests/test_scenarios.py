@@ -74,6 +74,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             Scenario(**{**ok, "listener_mode": "fast"})
 
+    def test_scenarios_compare_and_hash_by_identity(self):
+        # a grid array compared inside the dataclass's field tuple raised
+        a, b = attendance_scenario(), attendance_scenario()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     @pytest.mark.parametrize("change", [
         {"lam": math.nan}, {"lam": math.inf}, {"lam": -math.inf},
         {"weights": (math.nan,)}, {"weights": (math.inf,)}, {"weights": (-0.5,)},

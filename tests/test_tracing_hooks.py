@@ -71,11 +71,13 @@ def test_games_names_are_in_use(tracing):
         candidates = games.generate_mixed_candidates(g, np.random.default_rng(0))
         games.mixed_dominance_check(g, candidates)
         # the dominance check verifies its candidates as one stack, without
-        # is_nash; the CLI's check command still calls it
+        # is_nash, and counts the pure equilibria without listing them; the
+        # CLI's check and enumerate commands still call those two
         assert cli.main(["game", HEIGHTS, "check", "--mixed"]) == 0
+        assert cli.main(["game", HEIGHTS, "enumerate"]) == 0
     by_id = {s.id: s for s in tracer.spans}
     parents = {s.name: by_id[s.parent].name for s in tracer.spans if s.parent in by_id}
-    assert parents["games.enumerate_pure_equilibria"] == "games.mixed_dominance_check"
+    assert parents["games.enumerate_pure_equilibria"] == "cli.main"
     assert parents["games.is_nash"] == "cli.main"
     assert tracer.counts["games.candidates"] == len(candidates) > 1
     assert tracer.counts["games.pure_equilibria"] > 0
