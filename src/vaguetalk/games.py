@@ -481,9 +481,11 @@ def _count_by_subsets(g: Game, tol: float, maps: np.ndarray, sv: np.ndarray,
     equilibrium when each subset T sent m lies in m's allowed states and
     passes _answer_table's [T, maps[r, m]]. So f_m[U], the ways to split U
     over the first m + 1 messages, is the sum over T <= U of f_(m-1)[U ^ T]
-    times whether T may send m; the count is f_(M-1) of all states. The
-    best payoff is the common-interest optimum over the block: every state
-    sends a best message, with the arithmetic of _pure_payoffs.
+    times whether T may send m; the count is f_(M-1) of all states. Each
+    f_m is capped at _RESULT_BUDGET + 1, which keeps it in int64 and leaves
+    every count up to the result budget exact. The best payoff is the
+    common-interest optimum over the block: every state sends a best
+    message, with the arithmetic of _pure_payoffs.
     """
     full = 2 ** g.n_states - 1
     subsets = np.arange(full + 1)
@@ -494,6 +496,7 @@ def _count_by_subsets(g: Game, tol: float, maps: np.ndarray, sv: np.ndarray,
     ways = may_send[:, 0].astype(np.int64)
     for m in range(1, g.n_messages - 1):
         ways = np.add.reduceat(ways[:, rest] * may_send[:, m, part], starts, axis=1)
+        np.minimum(ways, _RESULT_BUDGET + 1, out=ways)
     if g.n_messages > 1:  # only U = all states is needed: f[full ^ T] is f reversed
         count = int((ways[:, ::-1] * may_send[:, -1]).sum())
     else:
@@ -535,7 +538,7 @@ def _count_pure_equilibria(g: Game, tol: float = _TOL,
     count, best = 0, -math.inf
     for maps, sv in _receiver_map_blocks(g):
         allowed = _allowed_messages(g, sv, tol)
-        senders = int(_row_count(allowed).prod(axis=-1).sum())
+        senders = _row_count(allowed).prod(axis=-1, dtype=float).sum()  # may pass int64
         by_blocks = senders * g.n_messages * g.n_states * (g.n_actions + 1)
         if len(maps) * g.n_messages * triples < by_blocks and \
                 len(maps) * triples <= _RECEIVER_BLOCK * _SENDER_BLOCK:

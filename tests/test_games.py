@@ -709,6 +709,31 @@ class TestPureCount:
         report = mixed_dominance_check(g, [babbling_profile(g)])
         assert (report.n_pure_equilibria, report.best_pure_payoff.hex()) == want
 
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 6, 3), (4, 5, 4)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_games_of_several_blocks_equal_the_enumeration(self, shape, seed):
+        # 3^6 or 4^5 receiver maps: three or four blocks, each taking its own route
+        n_s, n_m, n_a = shape
+        rng = np.random.default_rng([seed, *shape])
+        weights = rng.random(n_s) + 0.05
+        weights[0] *= seed  # seed 1 keeps every state, seed 0 zeroes the first
+        payoff = rng.random((n_s, n_a))
+        payoff[:, 1] = payoff[:, 0]
+        g = Game(tuple(range(n_s)), weights / weights.sum(), tuple(range(n_m)),
+                 tuple(range(n_a)), payoff)
+        pure = enumerate_pure_equilibria(g)
+        report = mixed_dominance_check(g, [babbling_profile(g)])
+        assert (report.n_pure_equilibria, report.best_pure_payoff.hex()) == \
+            (len(pure), pure[0][1].hex())
+
+    def test_more_sender_maps_than_int64_holds(self):
+        # 60^11 sender maps, all equilibria: the count must stop at the
+        # result budget, not wrap around to "no pure equilibrium"
+        g = Game(tuple(range(11)), np.full(11, 1 / 11), tuple(range(60)), (0,),
+                 np.ones((11, 1)))
+        with pytest.raises(BudgetExceeded, match="^pure equilibria exceed the result budget"):
+            mixed_dominance_check(g, [babbling_profile(g)], budget=10 ** 20)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded, match="72 pure profiles exceed budget 10"):
             mixed_dominance_check(heights_game(), [babbling_profile(heights_game())], budget=10)
