@@ -750,3 +750,15 @@ class TestResultBudget:
         assert code == 5
         assert out == ""
         assert err == "error: pure equilibria exceed the result budget 100000\n"
+
+    @pytest.mark.parametrize("sub", ["enumerate", "dominance"])
+    def test_more_sender_maps_than_int64_holds_exit_5(self, capsys, tmp_path, sub):
+        # 40^12 sender maps, every one an equilibrium, under a budget of 10^25
+        game = {"states": [f"s{i}" for i in range(12)], "prior": [1.0 / 12] * 12,
+                "messages": [f"m{i}" for i in range(40)], "actions": ["x0"],
+                "payoff": [[1.0]] * 12}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(game))
+        code, out, err = run(capsys, "game", str(path), sub, "--budget", str(10 ** 25))
+        assert (code, out) == (5, "")
+        assert err == "error: pure equilibria exceed the result budget 100000\n"

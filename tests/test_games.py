@@ -17,6 +17,7 @@ from vaguetalk import (BudgetExceeded, Game, MissingQuestion, MixedProfile,
                        generate_mixed_candidates, is_nash,
                        mixed_dominance_check, precisify, pure_profile,
                        question_precision, random_game, speaker_meaning)
+from vaguetalk import games
 from vaguetalk.games import (_DYNAMICS, _TIE_TOL, DimensionMismatch, ProfileStack,
                              _allowed_messages, _bayes, _count_by_blocks,
                              _count_by_subsets, _dynamics_candidates, _receiver_map_blocks)
@@ -712,7 +713,7 @@ class TestPureCount:
     @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 6, 3), (4, 5, 4)])
     @pytest.mark.parametrize("seed", range(2))
     def test_games_of_several_blocks_equal_the_enumeration(self, shape, seed):
-        # 3^6 or 4^5 receiver maps: three or four blocks, each taking its own route
+        # 3^6 or 4^5 receiver maps: three or four blocks, each counted on its own
         n_s, n_m, n_a = shape
         rng = np.random.default_rng([seed, *shape])
         weights = rng.random(n_s) + 0.05
@@ -726,13 +727,44 @@ class TestPureCount:
         assert (report.n_pure_equilibria, report.best_pure_payoff.hex()) == \
             (len(pure), pure[0][1].hex())
 
-    def test_more_sender_maps_than_int64_holds(self):
-        # 60^11 sender maps, all equilibria: the count must stop at the
-        # result budget, not wrap around to "no pure equilibrium"
-        g = Game(tuple(range(11)), np.full(11, 1 / 11), tuple(range(60)), (0,),
-                 np.ones((11, 1)))
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (7, 3, 2), (8, 2, 3), (9, 2, 3), (10, 2, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_dp_equals_the_enumeration_on_larger_games(self, monkeypatch, shape, seed):
+        # 6 to 10 states, half-integer payoffs, zero priors, copied columns: the DP's
+        # subset sums must add as the one-hot product does on longer rows
+        n_s, n_m, n_a = shape
+        rng = np.random.default_rng([seed, *shape])
+        weights = rng.random(n_s) + 0.05
+        weights[0] *= seed % 2  # even seeds give the first state zero prior
+        payoff = rng.integers(0, 4, (n_s, n_a)) / 2
+        if n_a > 2:  # two equal columns of two would make every profile an equilibrium
+            payoff[:, -1] = payoff[:, 0]
+        g = Game(tuple(range(n_s)), weights / weights.sum(), tuple(range(n_m)),
+                 tuple(range(n_a)), payoff)
+        routes = []
+        monkeypatch.setattr(games, "_count_by_subsets",
+                            lambda *args: routes.append("dp") or _count_by_subsets(*args))
+        monkeypatch.setattr(games, "_count_by_blocks",
+                            lambda *args: routes.append("blocks") or _count_by_blocks(*args))
+        pure = enumerate_pure_equilibria(g)
+        report = mixed_dominance_check(g, [babbling_profile(g)])
+        assert routes == ["dp"]
+        assert (report.n_pure_equilibria, report.best_pure_payoff.hex()) == \
+            (len(pure), pure[0][1].hex())
+
+    @pytest.mark.parametrize("check", ["enumerate", "dominance"])
+    @pytest.mark.parametrize("n_states, n_messages", [(11, 60), (12, 40)])
+    def test_more_sender_maps_than_int64_holds(self, check, n_states, n_messages):
+        # 60^11 or 40^12 sender maps, all equilibria, past 2^63: the count
+        # must stop at the result budget, not wrap around to "no pure
+        # equilibrium" (12 states take the sender-map blocks even in the check)
+        g = Game(tuple(range(n_states)), np.full(n_states, 1 / n_states),
+                 tuple(range(n_messages)), (0,), np.ones((n_states, 1)))
         with pytest.raises(BudgetExceeded, match="^pure equilibria exceed the result budget"):
-            mixed_dominance_check(g, [babbling_profile(g)], budget=10 ** 20)
+            if check == "enumerate":
+                enumerate_pure_equilibria(g, budget=10 ** 25)
+            else:
+                mixed_dominance_check(g, [babbling_profile(g)], budget=10 ** 25)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded, match="72 pure profiles exceed budget 10"):
