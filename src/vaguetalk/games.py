@@ -533,7 +533,7 @@ def _count_pure_equilibria(g: Game, tol: float = _TOL,
     the sender-map blocks, which stop at the result budget, bound the
     memory. Timed per block on the dominance-games sizes and on games of 6
     to 10 states, the DP was never more than 1.1x slower than the blocks
-    wherever it fits, and up to 50x faster.
+    wherever it fits, and up to 70x faster (BENCH_count_and_best.json).
     """
     _check_nominal(g, budget)
     fits = _RECEIVER_BLOCK * _SENDER_BLOCK // 3 ** g.n_states  # receiver maps the DP may take
